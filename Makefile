@@ -1,7 +1,7 @@
 GO ?= go
 SEEDS ?= 3
 
-.PHONY: all build test vet race integration verify bench fmt chaos
+.PHONY: all build test vet race integration verify bench fmt chaos loc
 
 all: build test
 
@@ -44,3 +44,9 @@ race: verify
 
 bench:
 	$(GO) test -bench=. -benchmem
+
+# Non-test Go lines per package (plain wc -l over every .go file git does
+# not ignore) — the number ROADMAP asks every PR to report before/after in
+# CHANGES.md.
+loc:
+	@git ls-files --cached --others --exclude-standard '*.go' | grep -v '_test\.go$$' | xargs wc -l | awk '$$2 != "total" { d = $$2; if (!sub("/[^/]*$$", "", d)) d = "."; n[d] += $$1; t += $$1 } END { for (d in n) printf "%7d  %s\n", n[d], d; printf "%7d  total\n", t }' | sort -k2

@@ -36,11 +36,7 @@ var (
 	// ErrEntryTooLarge reports a key/value pair that cannot fit a
 	// store's slot (or ordered-index node) geometry, and empty keys.
 	ErrEntryTooLarge = errors.New("kvstore: entry exceeds slot size")
-	// ErrTooLarge is the historical alias for ErrEntryTooLarge.
-	//
-	// Deprecated: match ErrEntryTooLarge instead.
-	ErrTooLarge    = ErrEntryTooLarge
-	ErrBadGeometry = errors.New("kvstore: bad table geometry")
+	ErrBadGeometry   = errors.New("kvstore: bad table geometry")
 	// ErrContention reports that a slot stayed locked (or kept changing)
 	// through every retry; the operation can simply be retried.
 	ErrContention = errors.New("kvstore: slot contention retries exhausted")

@@ -149,9 +149,9 @@ func TestEntryTooLarge(t *testing.T) {
 	if err := s.Put(ctx, nil, []byte("v")); !errors.Is(err, ErrEntryTooLarge) {
 		t.Errorf("empty key = %v", err)
 	}
-	// The historical alias must keep matching the same failures.
-	if err := s.Put(ctx, []byte("k"), make([]byte, 64)); !errors.Is(err, ErrTooLarge) {
-		t.Errorf("oversize put does not match deprecated alias: %v", err)
+	// A rejected put leaves nothing behind: the same put fails the same way.
+	if err := s.Put(ctx, []byte("k"), make([]byte, 64)); !errors.Is(err, ErrEntryTooLarge) {
+		t.Errorf("repeated oversize put = %v", err)
 	}
 }
 

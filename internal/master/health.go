@@ -28,10 +28,10 @@ import (
 func (m *Master) healthInputLocked(now time.Time, ownWin telemetry.WindowSnapshot) health.Input {
 	referenced := make(map[simnet.NodeID]bool)
 	degraded := 0
-	for _, rs := range m.regionsByName {
+	for name, rs := range m.st.regionsByName {
 		bad := rs.lost
 		for ci := 0; ci < rs.copyCount(); ci++ {
-			if rs.dirty[ci] || rs.underRepair[ci] {
+			if rs.dirty[ci] || m.underRepair[repairKey{name: name, copy: ci}] {
 				bad = true
 			}
 			for _, x := range rs.copyExtents(ci) {
@@ -47,18 +47,19 @@ func (m *Master) healthInputLocked(now time.Time, ownWin telemetry.WindowSnapsho
 		DegradedRegions:  degraded,
 	}
 	windows := ownWin
-	for _, s := range m.servers {
+	for _, s := range m.st.servers {
+		b := m.beat(s.node)
 		sh := health.ServerHealth{
 			Node:      s.node,
 			Alive:     s.alive,
 			HoldsData: referenced[s.node],
 		}
 		if !s.alive {
-			sh.SilentFor = now.Sub(s.lastBeat)
+			sh.SilentFor = now.Sub(b.lastBeat)
 		}
 		view.Servers = append(view.Servers, sh)
-		if s.hasWindows {
-			windows.Merge(s.windows)
+		if b.hasWindows {
+			windows.Merge(b.windows)
 		}
 	}
 	return health.Input{Now: m.vnow(), Cluster: view, Windows: windows}
@@ -79,13 +80,13 @@ func (m *Master) evalHealth(in health.Input) {
 func (m *Master) handleHealth(_ context.Context, _ simnet.NodeID, _ *rpc.Decoder) (*rpc.Encoder, error) {
 	m.ctr.healthRequests.Inc()
 	ownWin := m.tel.WindowSnapshot()
-	m.mu.Lock()
-	if err := m.requirePrimaryLocked(); err != nil {
-		m.mu.Unlock()
+	var in health.Input
+	if err := m.asPrimary(func() error {
+		in = m.healthInputLocked(time.Now(), ownWin)
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	in := m.healthInputLocked(time.Now(), ownWin)
-	m.mu.Unlock()
 	report := proto.HealthReport{
 		Alerts:  m.engine.Alerts(),
 		Events:  m.engine.Events(),

@@ -110,101 +110,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// serverState is the master's view of one memory server.
-type serverState struct {
-	node     simnet.NodeID
-	rkey     uint32
-	alloc    *spaceAllocator
-	alive    bool
-	lastBeat time.Time
-	// epoch counts incarnations: it is bumped every time the server
-	// re-registers after having been marked dead.
-	epoch uint64
-	// stats is the latest telemetry snapshot the server piggybacked on a
-	// heartbeat, kept marshaled and forwarded verbatim by MtStats.
-	stats []byte
-	// windows is the latest windowed telemetry the server piggybacked,
-	// decoded on receipt; hasWindows marks that at least one arrived. A
-	// dead server's windows freeze at their last beat (the staleness model
-	// the health rules are written against).
-	windows    telemetry.WindowSnapshot
-	hasWindows bool
-}
-
-// regionState tracks a region, its map refcount, and the repair plane's
-// per-copy bookkeeping. Copy index 0 is the primary, 1.. the replicas.
-type regionState struct {
-	info     *proto.RegionInfo
-	mapCount int
-	// dirty marks copies that missed writes or lost contents; a dirty copy
-	// must not serve as a repair source.
-	dirty []bool
-	// dirtyEpoch counts dirty transitions per copy. Repair snapshots it at
-	// start and only clears dirty at completion if unchanged, so a write
-	// that degrades mid-repair re-queues instead of being lost.
-	dirtyEpoch []uint64
-	// deathEpoch, when nonzero, records the dirtyEpoch value at which a
-	// heartbeat-loss sweep dirtied the copy and nothing else had: the
-	// dirtiness is provisional (the server may be starved, not dead), and
-	// is absolved if the same incarnation heartbeats again before any
-	// other cause bumps the epoch. Confirmed content loss (a dead server
-	// re-registering with an empty arena) never sets it.
-	deathEpoch []uint64
-	// underRepair marks copies with a repair task in flight.
-	underRepair []bool
-	// degraded marks copies whose placement shares a node with another
-	// copy (the anti-affinity fallback); repair re-homes them when capacity
-	// returns.
-	degraded []bool
-	// lost means no clean copy on live servers remains.
-	lost bool
-	// allocToken is the idempotency token the allocating client stamped on
-	// MtAlloc. A post-failover retry of the same allocation presents the
-	// same token and gets the existing region back instead of
-	// ErrRegionExists.
-	allocToken uint64
-}
-
-func newRegionState(info *proto.RegionInfo) *regionState {
-	n := 1 + len(info.Replicas)
-	return &regionState{
-		info:        info,
-		dirty:       make([]bool, n),
-		dirtyEpoch:  make([]uint64, n),
-		deathEpoch:  make([]uint64, n),
-		underRepair: make([]bool, n),
-		degraded:    make([]bool, n),
-	}
-}
-
-// copyExtents returns copy i's extent slice (aliasing the RegionInfo).
-func (rs *regionState) copyExtents(i int) []proto.Extent {
-	if i == 0 {
-		return rs.info.Extents
-	}
-	return rs.info.Replicas[i-1]
-}
-
-func (rs *regionState) copyCount() int { return 1 + len(rs.info.Replicas) }
-
-// setCopyExtents swaps copy i's extents in the metadata.
-func (rs *regionState) setCopyExtents(i int, xs []proto.Extent) {
-	if i == 0 {
-		rs.info.Extents = xs
-	} else {
-		rs.info.Replicas[i-1] = xs
-	}
-}
-
-// markDirty flags copy i and bumps its dirty epoch. The absolution record
-// resets: whoever marks dirty for a provisional cause re-records it after.
-// Caller holds m.mu.
-func (rs *regionState) markDirty(i int) {
-	rs.dirty[i] = true
-	rs.dirtyEpoch[i]++
-	rs.deathEpoch[i] = 0
-}
-
 // Master is the RStore coordinator.
 type Master struct {
 	cfg Config
@@ -214,10 +119,20 @@ type Master struct {
 	tel *telemetry.Registry
 	ctr masterCounters
 
-	mu            sync.Mutex
-	servers       map[simnet.NodeID]*serverState
-	regionsByName map[string]*regionState
-	nextID        proto.RegionID
+	mu sync.Mutex
+	// st is the replicated metadata. It changes only through commitLocked
+	// (primary) and handleReplAppend/handleReplHello (standby), which all
+	// run the same state.apply / state.restore; see state.go.
+	st state
+
+	// Ephemeral, unreplicated state of the current primary (guarded by mu).
+	// beats holds each server's heartbeat recency and piggybacked telemetry,
+	// underRepair the copies with a repair transfer in flight, and appended
+	// the log position of the last record commitLocked appended (what
+	// asPrimary waits on). A promotion starts all three afresh.
+	beats       map[simnet.NodeID]*serverBeat
+	underRepair map[repairKey]bool
+	appended    uint64
 
 	// Replication-group state (all guarded by mu). epoch is the master
 	// epoch — bumped once per failover, it fences stale primaries. leader
@@ -232,6 +147,9 @@ type Master struct {
 	lastPrimaryV    simnet.VTime
 	applySeq        uint64
 	repl            repl
+	// peers is the replication group minus this node; empty means nothing
+	// replicates from here.
+	peers []simnet.NodeID
 
 	// engine is the health rule engine, evaluated after every monitor tick
 	// while this replica is primary (see health.go).
@@ -243,8 +161,37 @@ type Master struct {
 	ctrlMu    sync.Mutex
 	ctrlConns map[simnet.NodeID]*rpc.Conn
 
-	stop chan struct{}
-	wg   sync.WaitGroup
+	// ctx lives as long as the master: Close cancels it, which stops every
+	// loop and bounds every outbound RPC.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
+}
+
+// serverBeat is the primary's firsthand view of one memory server.
+type serverBeat struct {
+	lastBeat time.Time
+	// stats is the latest telemetry snapshot the server piggybacked on a
+	// heartbeat, kept marshaled and forwarded verbatim by MtStats.
+	stats []byte
+	// windows is the latest windowed telemetry the server piggybacked,
+	// decoded on receipt; hasWindows marks that at least one arrived. A
+	// dead server's windows freeze at their last beat (the staleness model
+	// the health rules are written against).
+	windows    telemetry.WindowSnapshot
+	hasWindows bool
+}
+
+// beat returns node's heartbeat record. A server this primary has not yet
+// heard from (it registered with a predecessor) starts with a fresh grace
+// period. Caller holds m.mu.
+func (m *Master) beat(node simnet.NodeID) *serverBeat {
+	b, ok := m.beats[node]
+	if !ok {
+		b = &serverBeat{lastBeat: time.Now()}
+		m.beats[node] = b
+	}
+	return b
 }
 
 // masterCounters are the control-plane telemetry handles.
@@ -336,11 +283,16 @@ func Start(dev *rdma.Device, cfg Config) (*Master, error) {
 			healthResolved: tel.Counter("master.health_alerts_resolved"),
 			healthRequests: tel.Counter("master.health_requests"),
 		},
-		servers:       make(map[simnet.NodeID]*serverState),
-		regionsByName: make(map[string]*regionState),
-		nextID:        1,
-		ctrlConns:     make(map[simnet.NodeID]*rpc.Conn),
-		stop:          make(chan struct{}),
+		st:          newState(),
+		beats:       make(map[simnet.NodeID]*serverBeat),
+		underRepair: make(map[repairKey]bool),
+		ctrlConns:   make(map[simnet.NodeID]*rpc.Conn),
+	}
+	m.ctx, m.cancel = context.WithCancel(context.Background())
+	for _, p := range cfg.Peers {
+		if p != cfg.Node {
+			m.peers = append(m.peers, p)
+		}
 	}
 	m.pd = dev.AllocPD()
 	srv.Handle(proto.MtRegisterServer, m.handleRegisterServer)
@@ -416,15 +368,69 @@ func (m *Master) Telemetry() *telemetry.Registry { return m.tel }
 
 // Close stops serving and monitoring.
 func (m *Master) Close() {
-	select {
-	case <-m.stop:
+	if m.ctx.Err() != nil {
 		return
-	default:
 	}
-	close(m.stop)
+	m.cancel()
 	m.wg.Wait()
 	m.closeCtrlConns()
 	m.srv.Close()
+}
+
+// asPrimary is the one way into the metadata for everything the primary
+// does on request. A standby (or a stepped-down primary) answers with the
+// not-primary redirect instead of serving from possibly-stale state;
+// the primary runs fn under m.mu and then — with the lock released, so a
+// slow follower never stalls the master — waits until every record fn
+// committed is replicated. Only after that does the caller release its
+// response.
+func (m *Master) asPrimary(fn func() error) error {
+	m.mu.Lock()
+	if m.role != rolePrimary {
+		hint := m.leader
+		if hint == m.cfg.Node {
+			hint = -1
+		}
+		err := proto.NotPrimaryError(hint, m.epoch)
+		m.mu.Unlock()
+		return err
+	}
+	m.appended = 0
+	err := fn()
+	seq := m.appended
+	m.mu.Unlock()
+	m.repl.waitCommitted(seq)
+	return err
+}
+
+// commitLocked is the only way the primary changes replicated metadata:
+// apply each record to the state — the same apply a standby runs — and
+// append the ones that took to the log. It stops at the first record the
+// state rejects; what was applied before it is logged, so primary and
+// standbys still agree. Caller holds m.mu and is the primary.
+func (m *Master) commitLocked(recs ...proto.ReplRecord) error {
+	for n := range recs {
+		if err := m.st.apply(&recs[n]); err != nil {
+			m.appendLocked(recs[:n])
+			return fmt.Errorf("%w: kind %d, region %q", err, recs[n].Kind, recs[n].Name)
+		}
+	}
+	m.appendLocked(recs)
+	m.publishGaugesLocked()
+	return nil
+}
+
+// publishGaugesLocked refreshes the gauges derived from replicated state.
+// Caller holds m.mu.
+func (m *Master) publishGaugesLocked() {
+	var alive int64
+	for _, s := range m.st.servers {
+		if s.alive {
+			alive++
+		}
+	}
+	m.ctr.serversAlive.Set(alive)
+	m.ctr.regions.Set(int64(len(m.st.regionsByName)))
 }
 
 // monitor marks servers dead when heartbeats stop arriving.
@@ -434,10 +440,9 @@ func (m *Master) monitor() {
 	defer ticker.Stop()
 	for {
 		select {
-		case <-m.stop:
+		case <-m.ctx.Done():
 			return
 		case now := <-ticker.C:
-			deadline := now.Add(-time.Duration(m.cfg.HeartbeatMisses) * m.cfg.HeartbeatInterval)
 			// Snapshot the master's own windowed telemetry before taking
 			// m.mu: the registry locks are leaves and must stay that way.
 			ownWin := m.tel.WindowSnapshot()
@@ -449,21 +454,13 @@ func (m *Master) monitor() {
 				m.mu.Unlock()
 				continue
 			}
-			var died []simnet.NodeID
-			for _, s := range m.servers {
-				if s.alive && s.lastBeat.Before(deadline) {
-					s.alive = false
-					m.ctr.deadTransitions.Inc()
-					died = append(died, s.node)
-				}
+			deadline := now.Add(-time.Duration(m.cfg.HeartbeatMisses) * m.cfg.HeartbeatInterval)
+			if err := m.sweepLocked(deadline); err != nil {
+				// Every record of the sweep names a server or copy the scan
+				// just read from the state that rejected it: a bug, and one
+				// that would otherwise repeat silently every tick.
+				panic(fmt.Sprintf("master: liveness sweep: %v", err))
 			}
-			if len(died) > 0 {
-				for _, n := range died {
-					m.appendLocked(proto.ReplRecord{Kind: proto.ReplServerDead, Node: n})
-				}
-				m.scheduleRepairsLocked(died, true)
-			}
-			m.updateAliveGauge()
 			in := m.healthInputLocked(now, ownWin)
 			m.mu.Unlock()
 			m.evalHealth(in)
@@ -471,17 +468,39 @@ func (m *Master) monitor() {
 	}
 }
 
+// sweepLocked declares dead every alive server whose last beat predates
+// deadline, and dirties (provisionally) the copies that touch them. Caller
+// holds m.mu and is the primary.
+func (m *Master) sweepLocked(deadline time.Time) error {
+	var died []simnet.NodeID
+	for node, s := range m.st.servers {
+		if s.alive && m.beat(node).lastBeat.Before(deadline) {
+			died = append(died, node)
+		}
+	}
+	if len(died) == 0 {
+		return nil
+	}
+	sort.Slice(died, func(i, j int) bool { return died[i] < died[j] })
+	for _, n := range died {
+		if err := m.commitLocked(proto.ReplRecord{Kind: proto.ReplServerDead, Node: n}); err != nil {
+			return err
+		}
+		m.ctr.deadTransitions.Inc()
+	}
+	return m.dirtyCopiesLocked(died, true)
+}
+
 // AliveServers returns the nodes currently considered alive.
 func (m *Master) AliveServers() []simnet.NodeID {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var out []simnet.NodeID
-	for id, s := range m.servers {
-		if s.alive {
+	for _, id := range m.st.serverNodes() {
+		if m.st.servers[id].alive {
 			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -489,7 +508,7 @@ func (m *Master) AliveServers() []simnet.NodeID {
 func (m *Master) ServerAlive(node simnet.NodeID) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s, ok := m.servers[node]
+	s, ok := m.st.servers[node]
 	return ok && s.alive
 }
 
@@ -497,7 +516,7 @@ func (m *Master) ServerAlive(node simnet.NodeID) bool {
 func (m *Master) RegionCount() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.regionsByName)
+	return len(m.st.regionsByName)
 }
 
 func (m *Master) handleRegisterServer(_ context.Context, from simnet.NodeID, req *rpc.Decoder) (*rpc.Encoder, error) {
@@ -506,80 +525,41 @@ func (m *Master) handleRegisterServer(_ context.Context, from simnet.NodeID, req
 	if err := req.Err(); err != nil {
 		return nil, err
 	}
-	var commit uint64
-	defer func() { m.repl.waitCommitted(commit) }()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.requirePrimaryLocked(); err != nil {
-		return nil, err
-	}
-	s, ok := m.servers[from]
-	revived := false
-	if !ok {
-		s = &serverState{node: from, alloc: newSpaceAllocator(capacity)}
-		m.servers[from] = s
-	} else if !s.alive {
-		// A dead server coming back is a new incarnation: its arena may
-		// have lost all prior contents, so advertise the generation change.
-		s.epoch++
-		m.ctr.revives.Inc()
-		revived = true
-	}
-	if s.rkey != rkey {
-		// The arena was re-registered under a new key (server bounce). The
-		// master owns the allocator, so extent addresses stay valid in the
-		// fresh same-capacity arena — but every region pointing at this
-		// server must be rewritten to the new key or one-sided access would
-		// be refused.
-		for _, rs := range m.regionsByName {
-			patchRKey(rs.info.Extents, from, rkey)
-			for _, rep := range rs.info.Replicas {
-				patchRKey(rep, from, rkey)
+	return &rpc.Encoder{}, m.asPrimary(func() error {
+		rec, revived := m.st.registerRecord(from, capacity, rkey)
+		if err := m.commitLocked(rec); err != nil {
+			return err
+		}
+		m.beat(from).lastBeat = time.Now()
+		if revived {
+			// The revived arena is empty: every copy with an extent there lost
+			// its bytes, so mark them dirty and repair in place. The loss is
+			// confirmed (a re-registration is a new incarnation), never absolved.
+			m.ctr.revives.Inc()
+			if err := m.dirtyCopiesLocked([]simnet.NodeID{from}, false); err != nil {
+				return err
 			}
 		}
-	}
-	s.rkey = rkey
-	s.alive = true
-	s.lastBeat = time.Now()
-	m.appendLocked(proto.ReplRecord{
-		Kind:        proto.ReplServer,
-		Node:        from,
-		Capacity:    capacity,
-		RKey:        rkey,
-		ServerEpoch: s.epoch,
+		// Fresh capacity may let the repair plane re-home copies stuck on
+		// degraded placement, and retry repairs that failed for space.
+		m.rescheduleStalledLocked()
+		return nil
 	})
-	if revived {
-		// The revived arena is empty: every copy with an extent there lost
-		// its bytes, so mark them dirty and repair in place. The loss is
-		// confirmed (a re-registration is a new incarnation), never absolved.
-		m.scheduleRepairsLocked([]simnet.NodeID{from}, false)
-	}
-	// Fresh capacity may let the repair plane re-home copies stuck on
-	// degraded placement, and retry repairs that failed for space.
-	m.rescheduleStalledLocked()
-	m.updateAliveGauge()
-	commit = m.commitSeqLocked()
-	return &rpc.Encoder{}, nil
 }
 
-// updateAliveGauge recomputes the alive-server gauge. Caller holds m.mu.
-func (m *Master) updateAliveGauge() {
-	var alive int64
-	for _, s := range m.servers {
-		if s.alive {
-			alive++
+// registerRecord builds the record for a (re-)registration of node. A dead
+// server coming back is a new incarnation: its arena may have lost all
+// prior contents, so the record advertises the generation change.
+func (st *state) registerRecord(node simnet.NodeID, capacity uint64, rkey uint32) (rec proto.ReplRecord, revived bool) {
+	rec = proto.ReplRecord{Kind: proto.ReplServer, Node: node, Capacity: capacity, RKey: rkey}
+	if s, ok := st.servers[node]; ok {
+		revived = !s.alive
+		rec.ServerEpoch = s.epoch
+		if revived {
+			rec.ServerEpoch++
 		}
 	}
-	m.ctr.serversAlive.Set(alive)
-}
-
-// patchRKey rewrites the rkey of every extent on node.
-func patchRKey(xs []proto.Extent, node simnet.NodeID, rkey uint32) {
-	for i := range xs {
-		if xs[i].Server == node {
-			xs[i].RKey = rkey
-		}
-	}
+	return rec, revived
 }
 
 func (m *Master) handleHeartbeat(_ context.Context, from simnet.NodeID, req *rpc.Decoder) (*rpc.Encoder, error) {
@@ -600,48 +580,45 @@ func (m *Master) handleHeartbeat(_ context.Context, from simnet.NodeID, req *rpc
 		}
 	}
 	m.ctr.heartbeats.Inc()
-	var commit uint64
-	defer func() { m.repl.waitCommitted(commit) }()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.requirePrimaryLocked(); err != nil {
-		return nil, err
-	}
-	s, ok := m.servers[from]
-	if !ok {
-		return nil, fmt.Errorf("master: heartbeat from unregistered server %v", from)
-	}
-	s.lastBeat = time.Now()
-	wasDead := !s.alive
-	s.alive = true
-	if stats != nil {
-		s.stats = stats
-	}
-	if win != nil {
-		if err := s.windows.UnmarshalBinary(win); err == nil {
-			s.hasWindows = true
+	return &rpc.Encoder{}, m.asPrimary(func() error {
+		s, ok := m.st.servers[from]
+		if !ok {
+			return fmt.Errorf("master: heartbeat from unregistered server %v", from)
 		}
-	}
-	if wasDead {
+		b := m.beat(from)
+		b.lastBeat = time.Now()
+		if stats != nil {
+			b.stats = stats
+		}
+		if win != nil {
+			if err := b.windows.UnmarshalBinary(win); err == nil {
+				b.hasWindows = true
+			}
+		}
+		if s.alive {
+			return nil
+		}
 		// The same incarnation beat again without re-registering: the
 		// death verdict was heartbeat starvation and the arena is intact.
 		// Lift the provisional dirtiness the sweep applied, and re-queue
 		// any repairs that stalled for lack of capacity or a clean source.
 		m.ctr.revives.Inc()
-		m.appendLocked(proto.ReplRecord{Kind: proto.ReplServerAlive, Node: from})
-		m.absolveDeathDirtyLocked(from)
+		if err := m.commitLocked(proto.ReplRecord{Kind: proto.ReplServerAlive, Node: from}); err != nil {
+			return err
+		}
+		if err := m.commitLocked(m.st.absolveRecords(from)...); err != nil {
+			return err
+		}
 		m.rescheduleStalledLocked()
-		commit = m.commitSeqLocked()
-	}
-	m.updateAliveGauge()
-	return &rpc.Encoder{}, nil
+		return nil
+	})
 }
 
 // pickServers returns up to width alive servers ordered by free space
 // (descending), excluding any in the exclude set.
-func (m *Master) pickServers(width int, exclude map[simnet.NodeID]bool) []*serverState {
+func (st *state) pickServers(width int, exclude map[simnet.NodeID]bool) []*serverState {
 	var alive []*serverState
-	for _, s := range m.servers {
+	for _, s := range st.servers {
 		if s.alive && !exclude[s.node] {
 			alive = append(alive, s)
 		}
@@ -660,7 +637,9 @@ func (m *Master) pickServers(width int, exclude map[simnet.NodeID]bool) []*serve
 }
 
 // allocateCopy places one copy of the region over the chosen servers,
-// returning the extents or rolling back on failure.
+// returning the extents or rolling back on failure. The space it takes is
+// a tentative reservation: the planner that called it releases it again
+// before committing the record whose apply carves the same extents.
 func allocateCopy(servers []*serverState, size, stripe uint64) ([]proto.Extent, error) {
 	sizes, err := proto.ExtentSizes(size, stripe, len(servers))
 	if err != nil {
@@ -686,12 +665,63 @@ func allocateCopy(servers []*serverState, size, stripe uint64) ([]proto.Extent, 
 	return extents, nil
 }
 
-func (m *Master) freeExtents(extents []proto.Extent) {
-	for _, x := range extents {
-		if s, ok := m.servers[x.Server]; ok {
-			_ = s.alloc.Free(x.Addr, x.Len)
-		}
+// allocRecord decides a new region's identity and placement and returns
+// the ReplRegion record that creates it. Copies are placed one after the
+// other with their space held, so later copies steer around earlier ones;
+// everything held is released before returning, success or not.
+func (st *state) allocRecord(a proto.AllocRequest) (proto.ReplRecord, error) {
+	info := &proto.RegionInfo{
+		ID:         st.nextID,
+		Name:       a.Name,
+		Size:       a.Size,
+		StripeUnit: a.StripeUnit,
 	}
+	defer st.releaseRegion(info)
+	primaries := st.pickServers(widthOrAll(a.StripeWidth, len(st.servers)), nil)
+	if len(primaries) == 0 {
+		return proto.ReplRecord{}, ErrNoServers
+	}
+	var err error
+	if info.Extents, err = allocateCopy(primaries, a.Size, a.StripeUnit); err != nil {
+		return proto.ReplRecord{}, err
+	}
+
+	// Replicas go on servers disjoint from the primary copy when the
+	// cluster is big enough; otherwise placement falls back to any alive
+	// server with space.
+	used := make(map[simnet.NodeID]bool, len(primaries))
+	for _, s := range primaries {
+		used[s.node] = true
+	}
+	degraded := make([]bool, 1+a.Replicas)
+	for r := 0; r < a.Replicas; r++ {
+		repServers := st.pickServers(len(primaries), used)
+		if len(repServers) < len(primaries) {
+			// Not enough disjoint servers: fall back to the unrestricted
+			// set. The copy still exists but shares nodes with another copy,
+			// so it adds no failure domain — record that, surface it in
+			// telemetry, and let the repair plane re-home it when capacity
+			// returns instead of silently pretending full durability.
+			repServers = st.pickServers(len(primaries), nil)
+			degraded[1+r] = true
+		}
+		repExtents, err := allocateCopy(repServers, a.Size, a.StripeUnit)
+		if err != nil {
+			return proto.ReplRecord{}, err
+		}
+		for _, s := range repServers {
+			used[s.node] = true
+		}
+		info.Replicas = append(info.Replicas, repExtents)
+	}
+	return proto.ReplRecord{
+		Kind:           proto.ReplRegion,
+		Region:         info.ID,
+		Name:           info.Name,
+		Info:           info,
+		Token:          a.Token,
+		DegradedCopies: degraded,
+	}, nil
 }
 
 func (m *Master) handleAlloc(_ context.Context, _ simnet.NodeID, req *rpc.Decoder) (*rpc.Encoder, error) {
@@ -705,112 +735,35 @@ func (m *Master) handleAlloc(_ context.Context, _ simnet.NodeID, req *rpc.Decode
 	if a.StripeUnit == 0 {
 		a.StripeUnit = m.cfg.DefaultStripeUnit
 	}
-
-	var commit uint64
-	defer func() { m.repl.waitCommitted(commit) }()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.requirePrimaryLocked(); err != nil {
-		return nil, err
-	}
-	if rs, ok := m.regionsByName[a.Name]; ok {
-		if a.Token != 0 && rs.allocToken == a.Token {
-			// The same allocation, retried — the client's first attempt
-			// committed but its response was lost (e.g. to a failover).
-			// Idempotence: hand back the region it already owns.
-			var e rpc.Encoder
-			proto.EncodeRegionInfo(&e, rs.info)
-			return &e, nil
-		}
-		return nil, fmt.Errorf("%w: %q", ErrRegionExists, a.Name)
-	}
-
-	width := a.StripeWidth
-	primaries := m.pickServers(widthOrAll(width, len(m.servers)), nil)
-	if len(primaries) == 0 {
-		m.ctr.allocFails.Inc()
-		return nil, ErrNoServers
-	}
-	extents, err := allocateCopy(primaries, a.Size, a.StripeUnit)
-	if err != nil {
-		m.ctr.allocFails.Inc()
-		return nil, err
-	}
-
-	info := &proto.RegionInfo{
-		ID:         m.nextID,
-		Name:       a.Name,
-		Size:       a.Size,
-		StripeUnit: a.StripeUnit,
-		Extents:    extents,
-	}
-	m.nextID++
-
-	// Replicas go on servers disjoint from the primary copy when the
-	// cluster is big enough; otherwise placement falls back to any alive
-	// server with space.
-	used := make(map[simnet.NodeID]bool, len(primaries))
-	for _, s := range primaries {
-		used[s.node] = true
-	}
-	degradedReplicas := make([]bool, a.Replicas)
-	for r := 0; r < a.Replicas; r++ {
-		repServers := m.pickServers(len(primaries), used)
-		if len(repServers) < len(primaries) {
-			// Not enough disjoint servers: fall back to the unrestricted
-			// set. The copy still exists but shares nodes with another copy,
-			// so it adds no failure domain — record that, surface it in
-			// telemetry, and let the repair plane re-home it when capacity
-			// returns instead of silently pretending full durability.
-			repServers = m.pickServers(len(primaries), nil)
-			degradedReplicas[r] = true
-		}
-		if len(repServers) == 0 {
-			m.freeExtents(info.Extents)
-			for _, rep := range info.Replicas {
-				m.freeExtents(rep)
-			}
-			m.ctr.allocFails.Inc()
-			return nil, fmt.Errorf("%w: replica %d", ErrNoServers, r)
-		}
-		repExtents, err := allocateCopy(repServers, a.Size, a.StripeUnit)
-		if err != nil {
-			m.freeExtents(info.Extents)
-			for _, rep := range info.Replicas {
-				m.freeExtents(rep)
-			}
-			m.ctr.allocFails.Inc()
-			return nil, err
-		}
-		for _, s := range repServers {
-			used[s.node] = true
-		}
-		info.Replicas = append(info.Replicas, repExtents)
-	}
-
-	rs := newRegionState(info)
-	rs.allocToken = a.Token
-	for r, deg := range degradedReplicas {
-		if deg {
-			rs.degraded[1+r] = true
-			m.ctr.placementDegraded.Inc()
-		}
-	}
-	m.regionsByName[a.Name] = rs
-	m.ctr.allocs.Inc()
-	m.ctr.regions.Set(int64(len(m.regionsByName)))
-	m.appendLocked(proto.ReplRecord{
-		Kind:           proto.ReplRegion,
-		Region:         info.ID,
-		Name:           info.Name,
-		Info:           info.Clone(),
-		Token:          a.Token,
-		DegradedCopies: append([]bool(nil), rs.degraded...),
-	})
-	commit = m.commitSeqLocked()
 	var e rpc.Encoder
-	proto.EncodeRegionInfo(&e, info)
-	return &e, nil
+	return &e, m.asPrimary(func() error {
+		if rs, ok := m.st.regionsByName[a.Name]; ok {
+			if a.Token != 0 && rs.allocToken == a.Token {
+				// The same allocation, retried — the client's first attempt
+				// committed but its response was lost (e.g. to a failover).
+				// Idempotence: hand back the region it already owns.
+				proto.EncodeRegionInfo(&e, rs.info)
+				return nil
+			}
+			return fmt.Errorf("%w: %q", ErrRegionExists, a.Name)
+		}
+		rec, err := m.st.allocRecord(a)
+		if err == nil {
+			err = m.commitLocked(rec)
+		}
+		if err != nil {
+			m.ctr.allocFails.Inc()
+			return err
+		}
+		for _, deg := range rec.DegradedCopies {
+			if deg {
+				m.ctr.placementDegraded.Inc()
+			}
+		}
+		m.ctr.allocs.Inc()
+		proto.EncodeRegionInfo(&e, rec.Info)
+		return nil
+	})
 }
 
 func widthOrAll(width, all int) int {
@@ -825,25 +778,20 @@ func (m *Master) handleMap(_ context.Context, _ simnet.NodeID, req *rpc.Decoder)
 	if err := req.Err(); err != nil {
 		return nil, err
 	}
-	var commit uint64
-	defer func() { m.repl.waitCommitted(commit) }()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.requirePrimaryLocked(); err != nil {
-		return nil, err
-	}
-	rs, ok := m.regionsByName[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrRegionNotFound, name)
-	}
-	rs.mapCount++
-	m.ctr.maps.Inc()
-	m.appendLocked(proto.ReplRecord{Kind: proto.ReplMapCount, Name: name, Count: rs.mapCount})
-	commit = m.commitSeqLocked()
 	var e rpc.Encoder
-	proto.EncodeRegionInfo(&e, rs.info)
-	e.U64(m.leaseNanosLocked())
-	return &e, nil
+	return &e, m.asPrimary(func() error {
+		rs, err := m.st.region(name)
+		if err != nil {
+			return err
+		}
+		if err := m.commitLocked(proto.ReplRecord{Kind: proto.ReplMapCount, Name: name, Count: rs.mapCount + 1}); err != nil {
+			return err
+		}
+		m.ctr.maps.Inc()
+		proto.EncodeRegionInfo(&e, rs.info)
+		e.U64(m.leaseNanosLocked())
+		return nil
+	})
 }
 
 // leaseNanosLocked returns the layout lease term stamped on Map/Remap
@@ -863,20 +811,17 @@ func (m *Master) handleRemap(_ context.Context, _ simnet.NodeID, req *rpc.Decode
 	if err := req.Err(); err != nil {
 		return nil, err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.requirePrimaryLocked(); err != nil {
-		return nil, err
-	}
-	rs, ok := m.regionsByName[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrRegionNotFound, name)
-	}
-	m.ctr.remaps.Inc()
 	var e rpc.Encoder
-	proto.EncodeRegionInfo(&e, rs.info)
-	e.U64(m.leaseNanosLocked())
-	return &e, nil
+	return &e, m.asPrimary(func() error {
+		rs, err := m.st.region(name)
+		if err != nil {
+			return err
+		}
+		m.ctr.remaps.Inc()
+		proto.EncodeRegionInfo(&e, rs.info)
+		e.U64(m.leaseNanosLocked())
+		return nil
+	})
 }
 
 func (m *Master) handleUnmap(_ context.Context, _ simnet.NodeID, req *rpc.Decoder) (*rpc.Encoder, error) {
@@ -884,23 +829,16 @@ func (m *Master) handleUnmap(_ context.Context, _ simnet.NodeID, req *rpc.Decode
 	if err := req.Err(); err != nil {
 		return nil, err
 	}
-	var commit uint64
-	defer func() { m.repl.waitCommitted(commit) }()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.requirePrimaryLocked(); err != nil {
-		return nil, err
-	}
-	rs, ok := m.regionsByName[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrRegionNotFound, name)
-	}
-	if rs.mapCount > 0 {
-		rs.mapCount--
-		m.appendLocked(proto.ReplRecord{Kind: proto.ReplMapCount, Name: name, Count: rs.mapCount})
-		commit = m.commitSeqLocked()
-	}
-	return &rpc.Encoder{}, nil
+	return &rpc.Encoder{}, m.asPrimary(func() error {
+		rs, err := m.st.region(name)
+		if err != nil {
+			return err
+		}
+		if rs.mapCount > 0 {
+			return m.commitLocked(proto.ReplRecord{Kind: proto.ReplMapCount, Name: name, Count: rs.mapCount - 1})
+		}
+		return nil
+	})
 }
 
 func (m *Master) handleFree(_ context.Context, _ simnet.NodeID, req *rpc.Decoder) (*rpc.Encoder, error) {
@@ -908,57 +846,40 @@ func (m *Master) handleFree(_ context.Context, _ simnet.NodeID, req *rpc.Decoder
 	if err := req.Err(); err != nil {
 		return nil, err
 	}
-	var commit uint64
-	defer func() { m.repl.waitCommitted(commit) }()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.requirePrimaryLocked(); err != nil {
-		return nil, err
-	}
-	rs, ok := m.regionsByName[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrRegionNotFound, name)
-	}
-	if rs.mapCount > 0 {
-		return nil, fmt.Errorf("%w: %q has %d mappings", ErrRegionMapped, name, rs.mapCount)
-	}
-	m.freeExtents(rs.info.Extents)
-	for _, rep := range rs.info.Replicas {
-		m.freeExtents(rep)
-	}
-	delete(m.regionsByName, name)
-	m.ctr.frees.Inc()
-	m.ctr.regions.Set(int64(len(m.regionsByName)))
-	m.appendLocked(proto.ReplRecord{Kind: proto.ReplRegionFree, Name: name})
-	commit = m.commitSeqLocked()
-	return &rpc.Encoder{}, nil
+	return &rpc.Encoder{}, m.asPrimary(func() error {
+		rs, err := m.st.region(name)
+		if err != nil {
+			return err
+		}
+		if rs.mapCount > 0 {
+			return fmt.Errorf("%w: %q has %d mappings", ErrRegionMapped, name, rs.mapCount)
+		}
+		if err := m.commitLocked(proto.ReplRecord{Kind: proto.ReplRegionFree, Name: name}); err != nil {
+			return err
+		}
+		m.ctr.frees.Inc()
+		return nil
+	})
 }
 
 func (m *Master) handleClusterInfo(_ context.Context, _ simnet.NodeID, _ *rpc.Decoder) (*rpc.Encoder, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.requirePrimaryLocked(); err != nil {
-		return nil, err
-	}
-	nodes := make([]simnet.NodeID, 0, len(m.servers))
-	for id := range m.servers {
-		nodes = append(nodes, id)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
 	var e rpc.Encoder
-	e.U32(uint32(len(nodes)))
-	for _, id := range nodes {
-		s := m.servers[id]
-		info := proto.ServerInfo{
-			Node:     s.node,
-			Capacity: s.alloc.Capacity(),
-			Used:     s.alloc.Used(),
-			Alive:    s.alive,
-			Epoch:    s.epoch,
+	return &e, m.asPrimary(func() error {
+		nodes := m.st.serverNodes()
+		e.U32(uint32(len(nodes)))
+		for _, id := range nodes {
+			s := m.st.servers[id]
+			info := proto.ServerInfo{
+				Node:     s.node,
+				Capacity: s.alloc.Capacity(),
+				Used:     s.alloc.Used(),
+				Alive:    s.alive,
+				Epoch:    s.epoch,
+			}
+			info.Encode(&e)
 		}
-		info.Encode(&e)
-	}
-	return &e, nil
+		return nil
+	})
 }
 
 // handleStats returns the cluster-wide telemetry view: the master's own
@@ -971,50 +892,39 @@ func (m *Master) handleStats(_ context.Context, _ simnet.NodeID, _ *rpc.Decoder)
 	if err != nil {
 		return nil, fmt.Errorf("master: marshal stats: %w", err)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.requirePrimaryLocked(); err != nil {
-		return nil, err
-	}
-	nodes := make([]simnet.NodeID, 0, len(m.servers))
-	for id := range m.servers {
-		if m.servers[id].stats != nil {
-			nodes = append(nodes, id)
-		}
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
 	var e rpc.Encoder
-	e.U32(uint32(1 + len(nodes)))
-	e.I64(int64(m.cfg.Node))
-	e.String("master")
-	e.Bytes32(own)
-	for _, id := range nodes {
-		e.I64(int64(id))
-		e.String("memserver")
-		e.Bytes32(m.servers[id].stats)
-	}
-	return &e, nil
+	return &e, m.asPrimary(func() error {
+		var nodes []simnet.NodeID
+		for _, id := range m.st.serverNodes() {
+			if m.beat(id).stats != nil {
+				nodes = append(nodes, id)
+			}
+		}
+		e.U32(uint32(1 + len(nodes)))
+		e.I64(int64(m.cfg.Node))
+		e.String("master")
+		e.Bytes32(own)
+		for _, id := range nodes {
+			e.I64(int64(id))
+			e.String("memserver")
+			e.Bytes32(m.beat(id).stats)
+		}
+		return nil
+	})
 }
 
 func (m *Master) handleListRegions(_ context.Context, _ simnet.NodeID, _ *rpc.Decoder) (*rpc.Encoder, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.requirePrimaryLocked(); err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(m.regionsByName))
-	for n := range m.regionsByName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	var e rpc.Encoder
-	e.U32(uint32(len(names)))
-	for _, n := range names {
-		rs := m.regionsByName[n]
-		e.String(n)
-		e.U64(uint64(rs.info.ID))
-		e.U64(rs.info.Size)
-		e.U32(uint32(rs.mapCount))
-	}
-	return &e, nil
+	return &e, m.asPrimary(func() error {
+		names := m.st.regionNames()
+		e.U32(uint32(len(names)))
+		for _, n := range names {
+			rs := m.st.regionsByName[n]
+			e.String(n)
+			e.U64(uint64(rs.info.ID))
+			e.U64(rs.info.Size)
+			e.U32(uint32(rs.mapCount))
+		}
+		return nil
+	})
 }

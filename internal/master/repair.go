@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -23,9 +22,6 @@ import (
 // one-sided repair path, then atomically swapping the new extents into the
 // region and bumping its generation. Clients never participate: the write
 // path keeps succeeding degraded while repair catches up.
-
-// errNoSource means no clean copy on live servers remains to repair from.
-var errNoSource = errors.New("master: no clean surviving copy")
 
 // repairKey identifies one copy of one region in the repair queue.
 type repairKey struct {
@@ -109,127 +105,95 @@ func (m *Master) enqueueRepair(key repairKey, rehome bool) {
 	}
 }
 
-// scheduleRepairsLocked marks every copy with an extent on one of the
-// given nodes dirty and queues it for repair. Caller holds m.mu. Used on
-// dead transitions (the node's extents are unreachable) and on revival
-// after death (the node's arena came back empty). presumed=true means the
-// loss is a heartbeat verdict, not confirmed: if the copy had no other
-// cause of dirtiness, record the epoch so a same-incarnation heartbeat
-// can absolve it (see absolveDeathDirtyLocked). A re-registration after
-// death passes presumed=false — the arena really is a new incarnation.
-func (m *Master) scheduleRepairsLocked(nodes []simnet.NodeID, presumed bool) {
-	hit := make(map[simnet.NodeID]bool, len(nodes))
-	for _, n := range nodes {
-		hit[n] = true
-	}
-	for name, rs := range m.regionsByName {
+// dirtyRecords builds a ReplDirty for every copy with an extent on one of
+// the given nodes. Used on dead transitions (the node's extents are
+// unreachable) and on revival after death (the node's arena came back
+// empty). presumed=true means the loss is a heartbeat verdict, not
+// confirmed: apply then remembers the epoch of a copy with no other cause
+// of dirtiness, so a same-incarnation heartbeat can absolve it (see
+// absolveRecords). A re-registration after death passes presumed=false —
+// the arena really is a new incarnation.
+func (st *state) dirtyRecords(nodes []simnet.NodeID, presumed bool) []proto.ReplRecord {
+	var recs []proto.ReplRecord
+	for _, name := range st.regionNames() {
+		rs := st.regionsByName[name]
 		for j := 0; j < rs.copyCount(); j++ {
-			touched := false
-			for _, x := range rs.copyExtents(j) {
-				if hit[x.Server] {
-					touched = true
-					break
-				}
-			}
-			if touched {
-				wasDirty := rs.dirty[j]
-				rs.markDirty(j)
-				if presumed && !wasDirty {
-					rs.deathEpoch[j] = rs.dirtyEpoch[j]
-				}
-				m.appendLocked(proto.ReplRecord{
+			if touches(rs.copyExtents(j), nodes...) {
+				recs = append(recs, proto.ReplRecord{
 					Kind:        proto.ReplDirty,
 					Name:        name,
 					Copy:        j,
 					Provisional: presumed,
 				})
-				m.enqueueRepair(repairKey{name: name, copy: j}, false)
 			}
 		}
 	}
+	return recs
 }
 
-// absolveDeathDirtyLocked clears provisional death-induced dirtiness on
-// copies touching node, which just heartbeat from the dead state: the
-// same incarnation is back, its arena intact — the master's verdict was
-// starvation, not death. A copy is absolved only when (a) the heartbeat
-// sweep was the sole cause of its dirtiness (dirty epoch unchanged since;
-// a degraded-write report in between keeps it dirty) and (b) every one of
-// its servers is alive again, so it needs no repair at all. If absolution
-// leaves the region with a clean available copy, the lost latch lifts and
-// the remaining dirty copies re-queue — they now have a source. Caller
-// holds m.mu.
-func (m *Master) absolveDeathDirtyLocked(node simnet.NodeID) {
-	for name, rs := range m.regionsByName {
+// touches reports whether any extent of xs sits on one of nodes.
+func touches(xs []proto.Extent, nodes ...simnet.NodeID) bool {
+	for _, x := range xs {
+		for _, n := range nodes {
+			if x.Server == n {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// dirtyCopiesLocked commits dirtyRecords(nodes, presumed) and queues every
+// copy it dirtied for repair. Caller holds m.mu.
+func (m *Master) dirtyCopiesLocked(nodes []simnet.NodeID, presumed bool) error {
+	recs := m.st.dirtyRecords(nodes, presumed)
+	if err := m.commitLocked(recs...); err != nil {
+		return err
+	}
+	for i := range recs {
+		m.enqueueRepair(repairKey{name: recs[i].Name, copy: recs[i].Copy}, false)
+	}
+	return nil
+}
+
+// absolveRecords builds the records that clear provisional death-induced
+// dirtiness on copies touching node, which just heartbeat from the dead
+// state (and is alive again in st): the same incarnation is back, its
+// arena intact — the master's verdict was starvation, not death. A copy is
+// absolved only when (a) the heartbeat sweep was the sole cause of its
+// dirtiness (dirty epoch unchanged since; a degraded-write report in
+// between keeps it dirty) and (b) every one of its servers is alive again,
+// so it needs no repair at all. An absolved copy is a clean available
+// copy, so its region's lost latch lifts with it.
+func (st *state) absolveRecords(node simnet.NodeID) []proto.ReplRecord {
+	var recs []proto.ReplRecord
+	for _, name := range st.regionNames() {
+		rs := st.regionsByName[name]
 		absolved := false
 		for j := 0; j < rs.copyCount(); j++ {
-			if !rs.dirty[j] || rs.deathEpoch[j] == 0 || rs.dirtyEpoch[j] != rs.deathEpoch[j] {
-				continue
-			}
-			touches, available := false, true
-			for _, x := range rs.copyExtents(j) {
-				if x.Server == node {
-					touches = true
-				}
-				s, have := m.servers[x.Server]
-				if !have || !s.alive {
-					available = false
-				}
-			}
-			if !touches || !available {
-				continue
-			}
-			rs.dirty[j] = false
-			rs.deathEpoch[j] = 0
-			m.appendLocked(proto.ReplRecord{Kind: proto.ReplClean, Name: name, Copy: j})
-			absolved = true
-		}
-		if !absolved || !rs.lost {
-			continue
-		}
-		for j := 0; j < rs.copyCount(); j++ {
-			if rs.dirty[j] {
-				continue
-			}
-			available := true
-			for _, x := range rs.copyExtents(j) {
-				s, have := m.servers[x.Server]
-				if !have || !s.alive {
-					available = false
-					break
-				}
-			}
-			if available {
-				rs.lost = false
-				m.appendLocked(proto.ReplRecord{Kind: proto.ReplLost, Name: name, Lost: false})
-				break
+			if rs.dirty[j] && rs.deathEpoch[j] != 0 && rs.dirtyEpoch[j] == rs.deathEpoch[j] &&
+				touches(rs.copyExtents(j), node) && st.copyLive(rs, j) {
+				recs = append(recs, proto.ReplRecord{Kind: proto.ReplClean, Name: name, Copy: j})
+				absolved = true
 			}
 		}
-		if !rs.lost {
-			for j := 0; j < rs.copyCount(); j++ {
-				if rs.dirty[j] && !rs.underRepair[j] {
-					m.enqueueRepair(repairKey{name: name, copy: j}, false)
-				}
-			}
+		if absolved && rs.lost {
+			recs = append(recs, proto.ReplRecord{Kind: proto.ReplLost, Name: name, Lost: false})
 		}
 	}
+	return recs
 }
 
-// rescheduleStalledLocked re-queues every dirty copy without an in-flight
-// task (repairs dropped earlier for lack of capacity) and every clean
-// placement-degraded copy (re-home now that capacity may exist). Caller
-// holds m.mu; runs on server registration.
+// rescheduleStalledLocked re-queues every dirty copy (repairs dropped
+// earlier for lack of capacity or a clean source) and every clean
+// placement-degraded copy (re-home now that capacity may exist); the queue
+// drops the ones already queued or in flight. Caller holds m.mu; runs on
+// server registration, absolution and promotion.
 func (m *Master) rescheduleStalledLocked() {
-	for name, rs := range m.regionsByName {
+	for name, rs := range m.st.regionsByName {
 		for j := 0; j < rs.copyCount(); j++ {
-			if rs.underRepair[j] {
-				continue
-			}
-			switch {
-			case rs.dirty[j]:
-				m.enqueueRepair(repairKey{name: name, copy: j}, false)
-			case rs.degraded[j]:
-				m.enqueueRepair(repairKey{name: name, copy: j}, true)
+			if rs.dirty[j] || rs.degraded[j] {
+				m.enqueueRepair(repairKey{name: name, copy: j}, !rs.dirty[j])
 			}
 		}
 	}
@@ -244,7 +208,7 @@ func (m *Master) repairWorker() {
 		task, ok := m.repair.pop()
 		if !ok {
 			select {
-			case <-m.stop:
+			case <-m.ctx.Done():
 				return
 			case <-m.repair.wake:
 			case <-time.After(m.cfg.HeartbeatInterval):
@@ -252,19 +216,9 @@ func (m *Master) repairWorker() {
 			continue
 		}
 		m.ctr.repairQueueDepth.Set(int64(m.repair.depth()))
-		m.mu.Lock()
-		primary := m.role == rolePrimary
-		m.mu.Unlock()
-		if !primary {
-			// A stepped-down replica drops its queued repairs: the new
-			// primary re-derives them from the replicated dirty state (its
-			// promotion reschedules every stalled copy).
-			m.repair.finish(task.key)
-			continue
-		}
 		if m.runRepair(task) {
 			select {
-			case <-m.stop:
+			case <-m.ctx.Done():
 				return
 			case <-time.After(m.cfg.RepairRetryDelay):
 			}
@@ -276,100 +230,108 @@ func (m *Master) repairWorker() {
 // repairPlan is the immutable snapshot runRepair works from after the
 // planning phase releases the master lock.
 type repairPlan struct {
-	key        repairKey
-	epoch      uint64 // dirty epoch at planning time
-	old        []proto.Extent
-	dest       []proto.Extent
-	realloc    bool // dest is freshly allocated (old must be freed, generation bumped)
-	fellBack   bool // dest placement overlaps another copy
-	rehome     bool
-	sizes      []uint64 // per-extent lengths
-	regionID   proto.RegionID
-	homeServer simnet.NodeID
+	key      repairKey
+	regionID proto.RegionID // the region planned for; a same-named successor is a different one
+	epoch    uint64         // dirty epoch at planning time
+	dest     []proto.Extent
+	realloc  bool // dest is a fresh reservation (the old extents are freed and the generation bumped at commit)
+	fellBack bool // dest placement overlaps another copy
+	rehome   bool
+	sizes    []uint64 // per-extent lengths
 }
+
+// Planning outcomes that end a task without a transfer.
+var (
+	// errRepairMoot: the copy needs no repair (gone, already clean, no
+	// longer degraded) or cannot be re-homed yet.
+	errRepairMoot = errors.New("master: nothing to repair")
+	// errNoSource: no clean copy on live servers remains to repair from.
+	errNoSource = errors.New("master: no clean surviving copy")
+)
 
 // runRepair executes one task end to end. Returns true when the task
 // should be retried after a delay.
 func (m *Master) runRepair(task repairTask) (retry bool) {
-	plan, retry, ok := m.planRepair(task)
-	if !ok {
+	var plan repairPlan
+	err := m.asPrimary(func() (err error) {
+		plan, err = m.st.planRepair(task.key, task.rehome)
+		if err == nil {
+			m.underRepair[task.key] = true
+		}
+		if errors.Is(err, errNoSource) && !m.st.regionsByName[task.key.name].lost {
+			// Every copy is dirty or on dead servers: the data is gone. Flag
+			// the region lost; a later write-and-repair cycle cannot help, so
+			// do not retry.
+			m.ctr.regionsLost.Inc()
+			if cerr := m.commitLocked(proto.ReplRecord{Kind: proto.ReplLost, Name: task.key.name, Lost: true}); cerr != nil {
+				return cerr
+			}
+		}
+		return err
+	})
+	if err != nil {
+		// A stepped-down replica drops its queued repairs here (the new
+		// primary re-derives them from the replicated dirty state); a moot
+		// task is done; only a plan that found no space is worth retrying.
+		m.repair.finish(task.key)
+		if retry = errors.Is(err, ErrInsufficient); retry {
+			m.ctr.repairsFailed.Inc()
+		}
 		return retry
 	}
 	m.ctr.repairsStarted.Inc()
 
 	copied := make([]uint64, len(plan.dest))
-	err := m.pullAllExtents(plan, copied)
-	if err != nil {
+	err = m.pullAllExtents(plan, copied)
+	if err == nil {
+		err = m.commitRepair(plan, task.enqueuedV)
+	} else {
 		m.abortRepair(plan)
-		m.ctr.repairsFailed.Inc()
-		return true
 	}
-	m.commitRepair(plan, task.enqueuedV)
-	return false
+	if err != nil {
+		m.ctr.repairsFailed.Inc()
+	}
+	return err != nil
 }
 
-// planRepair validates the task against current state, picks the
-// destination placement (in-place, or freshly allocated when the copy's
-// servers are dead, the geometry changed, or a re-home was requested), and
-// marks the copy under repair. ok=false means the task is finished or must
-// be retried (per retry).
-func (m *Master) planRepair(task repairTask) (plan repairPlan, retry, ok bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	finish := func() { m.repair.finish(task.key) }
-
-	if m.role != rolePrimary {
-		finish()
-		return plan, false, false
-	}
-	rs, exists := m.regionsByName[task.key.name]
-	ci := task.key.copy
+// planRepair validates the task against current state and picks the
+// destination placement: in place, or — when the copy's servers are dead,
+// the geometry changed, or a re-home was requested — a fresh reservation
+// that the caller holds until commitRepair or abortRepair.
+func (st *state) planRepair(key repairKey, rehome bool) (repairPlan, error) {
+	rs, exists := st.regionsByName[key.name]
+	ci := key.copy
 	if !exists || ci >= rs.copyCount() {
-		finish()
-		return plan, false, false
+		return repairPlan{}, errRepairMoot
 	}
 	// A re-home request is only meaningful while the copy is clean and
 	// still degraded; a copy that went dirty meanwhile takes the normal
-	// repair path (which relocates it anyway).
-	rehome := task.rehome && !rs.dirty[ci]
-	if rehome && !rs.degraded[ci] {
-		finish()
-		return plan, false, false
+	// repair path (which relocates it anyway). A clean copy with no re-home
+	// pending was repaired via another path.
+	rehome = rehome && !rs.dirty[ci]
+	if rehome && !rs.degraded[ci] || !rehome && !rs.dirty[ci] {
+		return repairPlan{}, errRepairMoot
 	}
-	if !rehome && !rs.dirty[ci] {
-		// Already clean (e.g. repaired via another path); nothing to do.
-		finish()
-		return plan, false, false
-	}
-
-	src, srcOK := m.pickSourceLocked(rs, ci, rehome)
-	if !srcOK {
-		// Every copy is dirty or on dead servers: the data is gone. Flag
-		// the region lost; a later write-and-repair cycle cannot help, so
-		// do not retry.
-		if !rs.lost {
-			rs.lost = true
-			m.ctr.regionsLost.Inc()
-			m.appendLocked(proto.ReplRecord{Kind: proto.ReplLost, Name: task.key.name, Lost: true})
-		}
-		finish()
-		return plan, false, false
+	src, ok := st.pickSource(rs, ci, rehome)
+	if !ok {
+		return repairPlan{}, errNoSource
 	}
 
-	old := append([]proto.Extent(nil), rs.copyExtents(ci)...)
+	plan := repairPlan{
+		key:      key,
+		regionID: rs.info.ID,
+		epoch:    rs.dirtyEpoch[ci],
+		dest:     append([]proto.Extent(nil), rs.copyExtents(ci)...),
+		rehome:   rehome,
+		sizes:    make([]uint64, len(src)),
+	}
+	for k := range src {
+		plan.sizes[k] = src[k].Len
+	}
 	width := len(src)
-	needRealloc := rehome || len(old) != width
-	for _, x := range old {
-		s, have := m.servers[x.Server]
-		if !have || !s.alive {
-			needRealloc = true
-			break
-		}
-	}
-
-	dest := old
-	fellBack := rs.degraded[ci] && !needRealloc
-	if needRealloc {
+	plan.realloc = rehome || len(plan.dest) != width || !st.copyLive(rs, ci)
+	plan.fellBack = rs.degraded[ci] && !plan.realloc
+	if plan.realloc {
 		exclude := make(map[simnet.NodeID]bool)
 		for j := 0; j < rs.copyCount(); j++ {
 			if j == ci {
@@ -379,73 +341,34 @@ func (m *Master) planRepair(task repairTask) (plan repairPlan, retry, ok bool) {
 				exclude[x.Server] = true
 			}
 		}
-		servers := m.pickServers(width, exclude)
-		fellBack = false
+		servers := st.pickServers(width, exclude)
 		if len(servers) < width {
 			if rehome {
 				// Still no disjoint placement; wait for the next capacity
 				// change to try again (registration re-queues).
-				finish()
-				return plan, false, false
+				return repairPlan{}, errRepairMoot
 			}
-			servers = m.pickServers(width, nil)
-			fellBack = true
+			servers = st.pickServers(width, nil)
+			plan.fellBack = true
 		}
 		if len(servers) < width {
-			finish()
-			m.ctr.repairsFailed.Inc()
-			return plan, true, false
+			return repairPlan{}, fmt.Errorf("%w: %d of %d servers for repair", ErrInsufficient, len(servers), width)
 		}
-		xs, err := allocateCopy(servers, rs.info.Size, rs.info.StripeUnit)
-		if err != nil {
-			finish()
-			m.ctr.repairsFailed.Inc()
-			return plan, true, false
+		var err error
+		if plan.dest, err = allocateCopy(servers, rs.info.Size, rs.info.StripeUnit); err != nil {
+			return repairPlan{}, err
 		}
-		dest = xs
 	}
-
-	sizes := make([]uint64, width)
-	for k := range src {
-		sizes[k] = src[k].Len
-	}
-	rs.underRepair[ci] = true
-	return repairPlan{
-		key:        task.key,
-		epoch:      rs.dirtyEpoch[ci],
-		old:        old,
-		dest:       dest,
-		realloc:    needRealloc,
-		fellBack:   fellBack,
-		rehome:     rehome,
-		sizes:      sizes,
-		regionID:   rs.info.ID,
-		homeServer: rs.info.HomeServer(),
-	}, false, true
+	return plan, nil
 }
 
-// pickSourceLocked returns the extent set of the lowest-indexed clean copy
-// whose servers are all alive. For re-homes the copy itself qualifies (it
-// is clean; the transfer just relocates it). Caller holds m.mu.
-func (m *Master) pickSourceLocked(rs *regionState, ci int, rehome bool) ([]proto.Extent, bool) {
+// pickSource returns the extent set of the lowest-indexed clean copy whose
+// servers are all alive. For re-homes the copy itself qualifies (it is
+// clean; the transfer just relocates it).
+func (st *state) pickSource(rs *regionState, ci int, rehome bool) ([]proto.Extent, bool) {
 	for j := 0; j < rs.copyCount(); j++ {
-		if j == ci && !rehome {
-			continue
-		}
-		if rs.dirty[j] {
-			continue
-		}
-		xs := rs.copyExtents(j)
-		live := true
-		for _, x := range xs {
-			s, have := m.servers[x.Server]
-			if !have || !s.alive {
-				live = false
-				break
-			}
-		}
-		if live {
-			return append([]proto.Extent(nil), xs...), true
+		if (j != ci || rehome) && !rs.dirty[j] && st.copyLive(rs, j) {
+			return append([]proto.Extent(nil), rs.copyExtents(j)...), true
 		}
 	}
 	return nil, false
@@ -459,11 +382,11 @@ func (m *Master) pullAllExtents(plan repairPlan, copied []uint64) error {
 	var lastErr error
 	for attempt := 0; attempt < 5; attempt++ {
 		m.mu.Lock()
-		rs, exists := m.regionsByName[plan.key.name]
+		rs, exists := m.st.regionsByName[plan.key.name]
 		var src []proto.Extent
 		srcOK := false
 		if exists {
-			src, srcOK = m.pickSourceLocked(rs, plan.key.copy, plan.rehome)
+			src, srcOK = m.st.pickSource(rs, plan.key.copy, plan.rehome)
 		}
 		m.mu.Unlock()
 		if !exists {
@@ -513,20 +436,6 @@ func (m *Master) pullFromSource(src []proto.Extent, plan repairPlan, copied []ui
 	return nil
 }
 
-// stopCtx returns a context bounded by both the timeout and the master's
-// shutdown, so a repair in flight cannot stall Close on a dead peer.
-func (m *Master) stopCtx(timeout time.Duration) (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	go func() {
-		select {
-		case <-m.stop:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-	return ctx, cancel
-}
-
 // repairPull issues one MtRepairPull to the destination server over a
 // cached control connection.
 func (m *Master) repairPull(node simnet.NodeID, req proto.RepairPullRequest) (proto.RepairPullResponse, error) {
@@ -536,7 +445,7 @@ func (m *Master) repairPull(node simnet.NodeID, req proto.RepairPullRequest) (pr
 	}
 	var e rpc.Encoder
 	req.Encode(&e)
-	ctx, cancel := m.stopCtx(30 * time.Second)
+	ctx, cancel := context.WithTimeout(m.ctx, 30*time.Second)
 	defer cancel()
 	payload, _, err := conn.Call(ctx, proto.MtRepairPull, e.Bytes())
 	if err != nil {
@@ -565,7 +474,7 @@ func (m *Master) ctrlConn(node simnet.NodeID) (*rpc.Conn, error) {
 	if stale != nil {
 		stale.Close()
 	}
-	ctx, cancel := m.stopCtx(5 * time.Second)
+	ctx, cancel := context.WithTimeout(m.ctx, 5*time.Second)
 	defer cancel()
 	c, err := rpc.Dial(ctx, m.dev, node, proto.MemCtrlService, nil, m.cfg.RPC)
 	if err != nil {
@@ -602,86 +511,80 @@ func (m *Master) closeCtrlConns() {
 	}
 }
 
-// abortRepair backs out a failed plan: releases freshly allocated extents
-// and clears the under-repair mark so the copy can be re-queued.
-func (m *Master) abortRepair(plan repairPlan) {
-	m.mu.Lock()
-	if m.role != rolePrimary {
-		// Stepped down mid-repair: our allocators were (or will be) rebuilt
-		// from the new primary's snapshot, so the plan's reservations no
-		// longer exist to be freed.
-		m.mu.Unlock()
-		m.repair.finish(plan.key)
-		return
-	}
+// dropPlanLocked ends a plan's hold on the master: the under-repair mark
+// and, for a relocating plan, the reserved destination. Caller holds m.mu
+// as the primary — after a step-down the allocators were (or will be)
+// rebuilt from the new primary's snapshot, and the reservation no longer
+// exists to be released.
+func (m *Master) dropPlanLocked(plan repairPlan) {
+	delete(m.underRepair, plan.key)
 	if plan.realloc {
-		m.freeExtents(plan.dest)
+		m.st.release(plan.dest)
 	}
-	if rs, ok := m.regionsByName[plan.key.name]; ok && plan.key.copy < rs.copyCount() {
-		rs.underRepair[plan.key.copy] = false
-	}
-	m.mu.Unlock()
+}
+
+// abortRepair backs out a failed plan so the copy can be re-queued.
+func (m *Master) abortRepair(plan repairPlan) {
+	// The only error is not-primary, and then there is nothing to back out.
+	_ = m.asPrimary(func() error {
+		m.dropPlanLocked(plan)
+		return nil
+	})
 	m.repair.finish(plan.key)
 }
 
-// commitRepair atomically swaps the repaired extents into the region,
-// bumps the generation on layout change, and pushes an invalidation to the
-// region's subscribers. A dirty-epoch mismatch (the copy degraded again
-// while the transfer ran) leaves the copy dirty and re-queues it — repair
-// then only re-transfers on top of already-landed bytes.
-func (m *Master) commitRepair(plan repairPlan, enqueuedV simnet.VTime) {
-	m.mu.Lock()
-	if m.role != rolePrimary {
-		// Stepped down while the transfer ran: this replica no longer owns
-		// the metadata, and its allocator state was rebuilt from the new
-		// primary's snapshot. The new primary re-runs the repair.
-		m.mu.Unlock()
-		m.repair.finish(plan.key)
-		return
+// commitRecord builds the ReplCommit that swaps the repaired extents into
+// the region and bumps the generation on layout change. A dirty-epoch
+// mismatch (the copy degraded again while the transfer ran) leaves the
+// copy dirty — repair then only re-transfers on top of already-landed
+// bytes. errRepairMoot means the region was freed meanwhile.
+func (st *state) commitRecord(plan repairPlan) (proto.ReplRecord, error) {
+	rs, exists := st.regionsByName[plan.key.name]
+	if !exists || rs.info.ID != plan.regionID {
+		return proto.ReplRecord{}, errRepairMoot
 	}
-	rs, exists := m.regionsByName[plan.key.name]
-	ci := plan.key.copy
-	if !exists || ci >= rs.copyCount() {
-		if plan.realloc {
-			m.freeExtents(plan.dest)
-		}
-		m.mu.Unlock()
-		m.repair.finish(plan.key)
-		return
-	}
-	layoutChanged := plan.realloc
-	if layoutChanged {
-		m.freeExtents(rs.copyExtents(ci))
-		rs.setCopyExtents(ci, plan.dest)
-		rs.info.Generation++
-	}
-	stillDirty := rs.dirtyEpoch[ci] != plan.epoch
-	if !stillDirty {
-		rs.dirty[ci] = false
-		rs.deathEpoch[ci] = 0
-	}
-	rs.degraded[ci] = plan.fellBack
-	rs.underRepair[ci] = false
-	rs.lost = false
 	rec := proto.ReplRecord{
 		Kind:       proto.ReplCommit,
 		Name:       plan.key.name,
-		Copy:       ci,
+		Copy:       plan.key.copy,
 		Generation: rs.info.Generation,
 		Degraded:   plan.fellBack,
-		StillDirty: stillDirty,
+		StillDirty: rs.dirtyEpoch[plan.key.copy] != plan.epoch,
 	}
-	if layoutChanged {
-		rec.Extents = append([]proto.Extent(nil), plan.dest...)
+	if plan.realloc {
+		rec.Extents = plan.dest
+		rec.Generation++
 	}
-	m.appendLocked(rec)
-	commit := m.commitSeqLocked()
-	gen := rs.info.Generation
-	home := rs.info.HomeServer()
-	id := rs.info.ID
-	m.mu.Unlock()
-	m.repl.waitCommitted(commit)
+	return rec, nil
+}
+
+// commitRepair commits the plan's ReplCommit — dropping the reservation
+// first, so apply carves the very same extents on the primary and on the
+// standbys — then pushes an invalidation to the region's subscribers and
+// re-queues a copy that degraded again mid-transfer. The error is a record
+// the state rejected.
+func (m *Master) commitRepair(plan repairPlan, enqueuedV simnet.VTime) error {
+	var rec proto.ReplRecord
+	var home simnet.NodeID
+	err := m.asPrimary(func() (err error) {
+		m.dropPlanLocked(plan)
+		if rec, err = m.st.commitRecord(plan); err == nil {
+			err = m.commitLocked(rec)
+		}
+		if err == nil {
+			home = m.st.regionsByName[plan.key.name].info.HomeServer()
+		}
+		return err
+	})
 	m.repair.finish(plan.key)
+	if errors.Is(err, errBadRecord) {
+		return err
+	}
+	if err != nil {
+		// Stepped down while the transfer ran (the new primary re-runs the
+		// repair) or the region was freed: neither is a failed repair.
+		return nil
+	}
 
 	m.ctr.repairsDone.Inc()
 	if plan.rehome {
@@ -691,19 +594,20 @@ func (m *Master) commitRepair(plan repairPlan, enqueuedV simnet.VTime) {
 	if doneV > enqueuedV {
 		m.ctr.repairDuration.Record(doneV.Sub(enqueuedV))
 	}
-	if stillDirty {
+	if rec.StillDirty {
 		m.enqueueRepair(plan.key, false)
 	}
-	if layoutChanged {
-		go m.pushInvalidation(home, id, gen)
+	if plan.realloc {
+		go m.pushInvalidation(home, plan.regionID, rec.Generation)
 	}
+	return nil
 }
 
 // pushInvalidation tells the region's subscribers (via its home server's
 // notify fan-out) that the layout changed. Best effort: clients that miss
 // it still converge through the generation check on their next remap.
 func (m *Master) pushInvalidation(home simnet.NodeID, id proto.RegionID, gen uint64) {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	ctx, cancel := context.WithTimeout(m.ctx, 5*time.Second)
 	defer cancel()
 	qp, err := m.dev.Dial(ctx, home, proto.MemNotifyService, m.pd, rdma.ConnOpts{SendDepth: 4, RecvDepth: 4})
 	if err != nil {
@@ -726,45 +630,30 @@ func (m *Master) pushInvalidation(home simnet.NodeID, id proto.RegionID, gen uin
 
 // handleRegionStatus returns the repair plane's view of every region.
 func (m *Master) handleRegionStatus(_ context.Context, _ simnet.NodeID, _ *rpc.Decoder) (*rpc.Encoder, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.requirePrimaryLocked(); err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(m.regionsByName))
-	for n := range m.regionsByName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	var e rpc.Encoder
-	e.U32(uint32(len(names)))
-	for _, n := range names {
-		rs := m.regionsByName[n]
-		st := proto.RegionStatus{
-			Info:     *rs.info,
-			MapCount: rs.mapCount,
-			Lost:     rs.lost,
-			Copies:   make([]proto.CopyStatus, rs.copyCount()),
-		}
-		for j := range st.Copies {
-			healthy := true
-			for _, x := range rs.copyExtents(j) {
-				s, have := m.servers[x.Server]
-				if !have || !s.alive {
-					healthy = false
-					break
+	return &e, m.asPrimary(func() error {
+		names := m.st.regionNames()
+		e.U32(uint32(len(names)))
+		for _, n := range names {
+			rs := m.st.regionsByName[n]
+			st := proto.RegionStatus{
+				Info:     *rs.info,
+				MapCount: rs.mapCount,
+				Lost:     rs.lost,
+				Copies:   make([]proto.CopyStatus, rs.copyCount()),
+			}
+			for j := range st.Copies {
+				st.Copies[j] = proto.CopyStatus{
+					Healthy:           m.st.copyLive(rs, j),
+					Dirty:             rs.dirty[j],
+					UnderRepair:       m.underRepair[repairKey{name: n, copy: j}],
+					PlacementDegraded: rs.degraded[j],
 				}
 			}
-			st.Copies[j] = proto.CopyStatus{
-				Healthy:           healthy,
-				Dirty:             rs.dirty[j],
-				UnderRepair:       rs.underRepair[j],
-				PlacementDegraded: rs.degraded[j],
-			}
+			st.Encode(&e)
 		}
-		st.Encode(&e)
-	}
-	return &e, nil
+		return nil
+	})
 }
 
 // handleReportDegraded records a client's degraded write: the copy missed
@@ -775,30 +664,21 @@ func (m *Master) handleReportDegraded(_ context.Context, _ simnet.NodeID, req *r
 	if err := req.Err(); err != nil {
 		return nil, err
 	}
-	m.mu.Lock()
-	if err := m.requirePrimaryLocked(); err != nil {
-		m.mu.Unlock()
-		return nil, err
-	}
-	rs, ok := m.regionsByName[r.Name]
-	if !ok {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrRegionNotFound, r.Name)
-	}
-	if r.Copy < 0 || r.Copy >= rs.copyCount() {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("master: copy %d out of range for %q", r.Copy, r.Name)
-	}
-	m.ctr.degradedReports.Inc()
-	rs.markDirty(r.Copy)
-	m.appendLocked(proto.ReplRecord{Kind: proto.ReplDirty, Name: r.Name, Copy: r.Copy})
-	commit := m.commitSeqLocked()
-	gen := rs.info.Generation
-	key := repairKey{name: r.Name, copy: r.Copy}
-	m.mu.Unlock()
-	m.repl.waitCommitted(commit)
-	m.enqueueRepair(key, false)
 	var e rpc.Encoder
-	e.U64(gen)
-	return &e, nil
+	return &e, m.asPrimary(func() error {
+		rs, err := m.st.region(r.Name)
+		if err != nil {
+			return err
+		}
+		if r.Copy < 0 || r.Copy >= rs.copyCount() {
+			return fmt.Errorf("master: copy %d out of range for %q", r.Copy, r.Name)
+		}
+		m.ctr.degradedReports.Inc()
+		if err := m.commitLocked(proto.ReplRecord{Kind: proto.ReplDirty, Name: r.Name, Copy: r.Copy}); err != nil {
+			return err
+		}
+		m.enqueueRepair(repairKey{name: r.Name, copy: r.Copy}, false)
+		e.U64(rs.info.Generation)
+		return nil
+	})
 }

@@ -2,7 +2,6 @@ package master
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"time"
 
@@ -11,11 +10,6 @@ import (
 	"rstore/internal/simnet"
 	"rstore/internal/telemetry"
 )
-
-// errBadRecord means a replicated log record referenced state the follower
-// does not have — the streams are out of sync and a snapshot must restart
-// them.
-var errBadRecord = errors.New("master: bad replication record")
 
 // The master replication group. One primary serves every client-facing RPC
 // and streams an ordered metadata log (plus full snapshots on stream open)
@@ -43,8 +37,8 @@ func (r role) String() string {
 }
 
 // repl is the primary-side log engine. Lock order: m.mu before repl.mu —
-// appendLocked runs under m.mu so log order equals state-mutation order,
-// while streamers and commit waiters take only repl.mu.
+// appendLocked runs under m.mu so log order equals apply order, while
+// streamers and commit waiters take only repl.mu.
 type repl struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -123,22 +117,13 @@ func (r *repl) waitCommitted(target uint64) {
 	r.mu.Unlock()
 }
 
-// appendLocked appends records to the replicated log. Caller holds m.mu
-// and must be the primary; the returned seq is what waitCommitted takes
-// (0 when nothing needs replication — not primary, or no peers
-// configured). Callers use the pattern
-//
-//	var commit uint64
-//	defer func() { m.repl.waitCommitted(commit) }()
-//	defer m.mu.Unlock()
-//	...
-//	commit = m.appendLocked(recs...)
-//
-// so the commit wait runs after m.mu is released (deferred calls run LIFO)
-// and a handler never blocks the master lock on a slow follower.
-func (m *Master) appendLocked(recs ...proto.ReplRecord) uint64 {
-	if m.role != rolePrimary || len(m.peersBesidesSelf()) == 0 || len(recs) == 0 {
-		return 0
+// appendLocked appends applied records to the replicated log and notes the
+// resulting log position in m.appended, which asPrimary hands to
+// waitCommitted once m.mu is released. A group of one keeps no log. Caller
+// holds m.mu and is the primary (commitLocked is the only caller).
+func (m *Master) appendLocked(recs []proto.ReplRecord) {
+	if len(m.peers) == 0 || len(recs) == 0 {
+		return
 	}
 	r := &m.repl
 	r.mu.Lock()
@@ -150,50 +135,10 @@ func (m *Master) appendLocked(recs ...proto.ReplRecord) uint64 {
 		r.baseSeq = r.nextSeq + uint64(len(recs))
 	}
 	r.nextSeq += uint64(len(recs))
-	seq := r.nextSeq
+	m.appended = r.nextSeq
 	r.cond.Broadcast()
 	r.mu.Unlock()
 	m.ctr.replRecords.Add(int64(len(recs)))
-	return seq
-}
-
-// commitSeqLocked returns the log position a mutating handler must hand to
-// waitCommitted so every record it appended in this critical section is
-// replicated before the response is released. Caller holds m.mu. Returns 0
-// (a no-op wait) when nothing replicates from this node.
-func (m *Master) commitSeqLocked() uint64 {
-	if m.role != rolePrimary || len(m.peersBesidesSelf()) == 0 {
-		return 0
-	}
-	m.repl.mu.Lock()
-	seq := m.repl.nextSeq
-	m.repl.mu.Unlock()
-	return seq
-}
-
-// peersBesidesSelf returns the configured replica set minus this node.
-func (m *Master) peersBesidesSelf() []simnet.NodeID {
-	var out []simnet.NodeID
-	for _, p := range m.cfg.Peers {
-		if p != m.cfg.Node {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// requirePrimaryLocked fences every client-facing handler: a standby (or a
-// stepped-down primary) answers with the not-primary redirect instead of
-// serving from possibly-stale state. Caller holds m.mu.
-func (m *Master) requirePrimaryLocked() error {
-	if m.role == rolePrimary {
-		return nil
-	}
-	hint := m.leader
-	if hint == m.cfg.Node {
-		hint = -1
-	}
-	return proto.NotPrimaryError(hint, m.epoch)
 }
 
 // setRoleGaugesLocked publishes the replica's role and epoch.
@@ -221,7 +166,7 @@ func (m *Master) beatInterval() time.Duration {
 func (m *Master) startPrimaryLocked() {
 	term := m.repl.newTerm()
 	epoch := m.epoch
-	for _, peer := range m.peersBesidesSelf() {
+	for _, peer := range m.peers {
 		m.wg.Add(1)
 		go m.streamTo(peer, term, epoch)
 	}
@@ -229,10 +174,8 @@ func (m *Master) startPrimaryLocked() {
 
 // termActive reports whether the streamer's term is still the live one.
 func (m *Master) termActive(term uint64) bool {
-	select {
-	case <-m.stop:
+	if m.ctx.Err() != nil {
 		return false
-	default:
 	}
 	m.repl.mu.Lock()
 	ok := m.repl.term == term
@@ -243,7 +186,7 @@ func (m *Master) termActive(term uint64) bool {
 // sleepBeat waits one keepalive interval or until shutdown.
 func (m *Master) sleepBeat() {
 	select {
-	case <-m.stop:
+	case <-m.ctx.Done():
 	case <-time.After(m.beatInterval()):
 	}
 }
@@ -267,7 +210,7 @@ func (m *Master) streamTo(peer simnet.NodeID, term, epoch uint64) {
 				conn.Close()
 			}
 			conn = nil
-			ctx, cancel := m.stopCtx(m.cfg.HeartbeatInterval)
+			ctx, cancel := context.WithTimeout(m.ctx, m.cfg.HeartbeatInterval)
 			c, err := rpc.Dial(ctx, m.dev, peer, proto.MasterService, nil, m.cfg.RPC)
 			cancel()
 			if err != nil {
@@ -298,8 +241,10 @@ func (m *Master) streamTo(peer simnet.NodeID, term, epoch uint64) {
 
 // buildHello snapshots the full metadata state under m.mu and registers
 // the peer as a follower at the snapshot's seq, so records appended while
-// the hello is in flight are retained for it. ok=false means the term
-// ended.
+// the hello is in flight are retained for it. Tentative repair reservations
+// are not part of the state (only commits replicate), so a promoted standby
+// replans from pre-plan allocator state and reproduces the primary's
+// placement. ok=false means the term ended.
 func (m *Master) buildHello(peer simnet.NodeID, term, epoch uint64) ([]byte, uint64, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -312,45 +257,10 @@ func (m *Master) buildHello(peer simnet.NodeID, term, epoch uint64) ([]byte, uin
 	m.repl.followers[peer] = seq
 	m.repl.mu.Unlock()
 
-	snap := m.snapshotLocked(epoch, seq)
+	snap := m.st.snapshot(epoch, seq)
 	var e rpc.Encoder
 	snap.Encode(&e)
 	return e.Bytes(), seq, true
-}
-
-// snapshotLocked captures the replicated metadata state. Caller holds
-// m.mu. Under-repair marks and per-server heartbeat stats are transient
-// and deliberately excluded; plan-time repair allocations are likewise
-// invisible (only commits replicate), so a promoted standby replans from
-// pre-plan allocator state and reproduces the primary's placement.
-func (m *Master) snapshotLocked(epoch, seq uint64) *proto.MasterSnapshot {
-	snap := &proto.MasterSnapshot{
-		Epoch:   epoch,
-		NextSeq: seq,
-		NextID:  uint64(m.nextID),
-	}
-	for _, s := range m.servers {
-		snap.Servers = append(snap.Servers, proto.SnapServer{
-			Node:     s.node,
-			Capacity: s.alloc.Capacity(),
-			RKey:     s.rkey,
-			Epoch:    s.epoch,
-			Alive:    s.alive,
-		})
-	}
-	for _, rs := range m.regionsByName {
-		snap.Regions = append(snap.Regions, proto.SnapRegion{
-			Info:       *rs.info.Clone(),
-			MapCount:   rs.mapCount,
-			AllocToken: rs.allocToken,
-			Dirty:      append([]bool(nil), rs.dirty...),
-			DirtyEpoch: append([]uint64(nil), rs.dirtyEpoch...),
-			DeathEpoch: append([]uint64(nil), rs.deathEpoch...),
-			Degraded:   append([]bool(nil), rs.degraded...),
-			Lost:       rs.lost,
-		})
-	}
-	return snap
 }
 
 // streamRecords pushes log records to an attached follower until the term
@@ -450,7 +360,7 @@ func (m *Master) detachFollower(peer simnet.NodeID, term uint64) {
 // replCall runs one replication RPC with a bounded context and decodes the
 // ack.
 func (m *Master) replCall(conn *rpc.Conn, mt uint16, payload []byte) (proto.ReplAck, error) {
-	ctx, cancel := m.stopCtx(5 * m.cfg.HeartbeatInterval)
+	ctx, cancel := context.WithTimeout(m.ctx, 5*m.cfg.HeartbeatInterval)
 	defer cancel()
 	resp, _, err := conn.Call(ctx, mt, payload)
 	if err != nil {
@@ -521,7 +431,17 @@ func (m *Master) handleReplHello(_ context.Context, from simnet.NodeID, req *rpc
 	if !m.acceptLeaderLocked(snap.Epoch, from) {
 		return replAckEnc(proto.ReplAck{OK: false, Epoch: m.epoch, Leader: m.leader}), nil
 	}
-	m.applySnapshotLocked(&snap, from)
+	if err := m.st.restore(&snap); err != nil {
+		return nil, err
+	}
+	m.role = roleStandby
+	m.epoch = snap.Epoch
+	m.leader = from
+	m.applySeq = snap.NextSeq
+	m.lastPrimaryWall = time.Now()
+	m.lastPrimaryV = m.vnow()
+	m.publishGaugesLocked()
+	m.setRoleGaugesLocked()
 	return replAckEnc(proto.ReplAck{OK: true, Epoch: m.epoch, Leader: m.leader}), nil
 }
 
@@ -545,11 +465,14 @@ func (m *Master) handleReplAppend(_ context.Context, from simnet.NodeID, req *rp
 		return replAckEnc(proto.ReplAck{OK: false, NeedSnapshot: true, Epoch: m.epoch, Leader: m.leader}), nil
 	}
 	for i := range app.Records {
-		if err := m.applyRecordLocked(&app.Records[i]); err != nil {
-			// A failed apply leaves state suspect; a fresh snapshot is the
-			// safety valve.
+		if err := m.st.apply(&app.Records[i]); err != nil {
+			// The streams are out of sync (and the batch's earlier records
+			// already applied); a fresh snapshot is the safety valve.
 			return replAckEnc(proto.ReplAck{OK: false, NeedSnapshot: true, Epoch: m.epoch, Leader: m.leader}), nil
 		}
+	}
+	if len(app.Records) > 0 {
+		m.publishGaugesLocked()
 	}
 	m.applySeq += uint64(len(app.Records))
 	m.lastPrimaryWall = time.Now()
@@ -582,194 +505,6 @@ func (m *Master) acceptLeaderLocked(epoch uint64, from simnet.NodeID) bool {
 	return false
 }
 
-// applySnapshotLocked resets all metadata state to the snapshot. Caller
-// holds m.mu; acceptance already checked.
-func (m *Master) applySnapshotLocked(snap *proto.MasterSnapshot, from simnet.NodeID) {
-	m.role = roleStandby
-	m.epoch = snap.Epoch
-	m.leader = from
-	m.applySeq = snap.NextSeq
-	m.nextID = proto.RegionID(snap.NextID)
-	m.lastPrimaryWall = time.Now()
-	m.lastPrimaryV = m.vnow()
-
-	m.servers = make(map[simnet.NodeID]*serverState, len(snap.Servers))
-	now := time.Now()
-	for _, sv := range snap.Servers {
-		m.servers[sv.Node] = &serverState{
-			node:     sv.Node,
-			rkey:     sv.RKey,
-			alloc:    newSpaceAllocator(sv.Capacity),
-			alive:    sv.Alive,
-			lastBeat: now,
-			epoch:    sv.Epoch,
-		}
-	}
-	m.regionsByName = make(map[string]*regionState, len(snap.Regions))
-	for i := range snap.Regions {
-		sr := &snap.Regions[i]
-		info := sr.Info.Clone()
-		rs := newRegionState(info)
-		rs.mapCount = sr.MapCount
-		rs.allocToken = sr.AllocToken
-		copyInto(rs.dirty, sr.Dirty)
-		copyIntoU64(rs.dirtyEpoch, sr.DirtyEpoch)
-		copyIntoU64(rs.deathEpoch, sr.DeathEpoch)
-		copyInto(rs.degraded, sr.Degraded)
-		rs.lost = sr.Lost
-		m.regionsByName[info.Name] = rs
-		m.carveRegionLocked(rs)
-	}
-	m.ctr.regions.Set(int64(len(m.regionsByName)))
-	m.updateAliveGauge()
-	m.setRoleGaugesLocked()
-}
-
-func copyInto(dst, src []bool) {
-	for i := range dst {
-		if i < len(src) {
-			dst[i] = src[i]
-		}
-	}
-}
-
-func copyIntoU64(dst, src []uint64) {
-	for i := range dst {
-		if i < len(src) {
-			dst[i] = src[i]
-		}
-	}
-}
-
-// carveRegionLocked reserves every extent of every copy of rs in the
-// rebuilt per-server allocators, reproducing the primary's allocation map
-// byte-for-byte. Caller holds m.mu.
-func (m *Master) carveRegionLocked(rs *regionState) {
-	for j := 0; j < rs.copyCount(); j++ {
-		for _, x := range rs.copyExtents(j) {
-			if s, ok := m.servers[x.Server]; ok {
-				_ = s.alloc.AllocAt(x.Addr, x.Len)
-			}
-		}
-	}
-}
-
-// applyRecordLocked applies one replicated log record. Standbys never
-// re-derive state (no local sweeps, no repair scheduling) — every
-// transition arrives explicitly. Caller holds m.mu.
-func (m *Master) applyRecordLocked(rec *proto.ReplRecord) error {
-	switch rec.Kind {
-	case proto.ReplServer:
-		s, ok := m.servers[rec.Node]
-		if !ok {
-			s = &serverState{node: rec.Node, alloc: newSpaceAllocator(rec.Capacity)}
-			m.servers[rec.Node] = s
-		}
-		if s.rkey != rec.RKey {
-			for _, rs := range m.regionsByName {
-				patchRKey(rs.info.Extents, rec.Node, rec.RKey)
-				for _, rep := range rs.info.Replicas {
-					patchRKey(rep, rec.Node, rec.RKey)
-				}
-			}
-		}
-		s.rkey = rec.RKey
-		s.epoch = rec.ServerEpoch
-		s.alive = true
-		s.lastBeat = time.Now()
-		m.updateAliveGauge()
-	case proto.ReplServerDead:
-		if s, ok := m.servers[rec.Node]; ok {
-			s.alive = false
-		}
-		m.updateAliveGauge()
-	case proto.ReplServerAlive:
-		if s, ok := m.servers[rec.Node]; ok {
-			s.alive = true
-			s.lastBeat = time.Now()
-		}
-		m.updateAliveGauge()
-	case proto.ReplRegion:
-		if rec.Info == nil {
-			return errBadRecord
-		}
-		info := rec.Info.Clone()
-		rs := newRegionState(info)
-		rs.allocToken = rec.Token
-		copyInto(rs.degraded, rec.DegradedCopies)
-		m.regionsByName[info.Name] = rs
-		if proto.RegionID(info.ID)+1 > m.nextID {
-			m.nextID = info.ID + 1
-		}
-		m.carveRegionLocked(rs)
-		m.ctr.regions.Set(int64(len(m.regionsByName)))
-	case proto.ReplRegionFree:
-		rs, ok := m.regionsByName[rec.Name]
-		if !ok {
-			return errBadRecord
-		}
-		m.freeExtents(rs.info.Extents)
-		for _, rep := range rs.info.Replicas {
-			m.freeExtents(rep)
-		}
-		delete(m.regionsByName, rec.Name)
-		m.ctr.regions.Set(int64(len(m.regionsByName)))
-	case proto.ReplMapCount:
-		rs, ok := m.regionsByName[rec.Name]
-		if !ok {
-			return errBadRecord
-		}
-		rs.mapCount = rec.Count
-	case proto.ReplDirty:
-		rs, ok := m.regionsByName[rec.Name]
-		if !ok || rec.Copy >= rs.copyCount() {
-			return errBadRecord
-		}
-		wasDirty := rs.dirty[rec.Copy]
-		rs.markDirty(rec.Copy)
-		if rec.Provisional && !wasDirty {
-			rs.deathEpoch[rec.Copy] = rs.dirtyEpoch[rec.Copy]
-		}
-	case proto.ReplClean:
-		rs, ok := m.regionsByName[rec.Name]
-		if !ok || rec.Copy >= rs.copyCount() {
-			return errBadRecord
-		}
-		rs.dirty[rec.Copy] = false
-		rs.deathEpoch[rec.Copy] = 0
-	case proto.ReplLost:
-		rs, ok := m.regionsByName[rec.Name]
-		if !ok {
-			return errBadRecord
-		}
-		rs.lost = rec.Lost
-	case proto.ReplCommit:
-		rs, ok := m.regionsByName[rec.Name]
-		if !ok || rec.Copy >= rs.copyCount() {
-			return errBadRecord
-		}
-		if len(rec.Extents) > 0 {
-			m.freeExtents(rs.copyExtents(rec.Copy))
-			rs.setCopyExtents(rec.Copy, append([]proto.Extent(nil), rec.Extents...))
-			rs.info.Generation = rec.Generation
-			for _, x := range rec.Extents {
-				if s, have := m.servers[x.Server]; have {
-					_ = s.alloc.AllocAt(x.Addr, x.Len)
-				}
-			}
-		}
-		if !rec.StillDirty {
-			rs.dirty[rec.Copy] = false
-			rs.deathEpoch[rec.Copy] = 0
-		}
-		rs.degraded[rec.Copy] = rec.Degraded
-		rs.lost = false
-	default:
-		return errBadRecord
-	}
-	return nil
-}
-
 // electionLoop runs on every replica with peers configured. A standby
 // that stops hearing replication traffic for HeartbeatMisses intervals
 // starts a candidacy: it defers to any reachable earlier peer, waits out
@@ -782,7 +517,7 @@ func (m *Master) electionLoop() {
 	defer ticker.Stop()
 	for {
 		select {
-		case <-m.stop:
+		case <-m.ctx.Done():
 			return
 		case <-ticker.C:
 		}
@@ -836,7 +571,7 @@ func (m *Master) deferToEarlierPeer() bool {
 // probeStatus asks one peer for its MtMasterStatus over a throwaway
 // connection.
 func (m *Master) probeStatus(peer simnet.NodeID) (proto.MasterStatus, error) {
-	ctx, cancel := m.stopCtx(m.cfg.HeartbeatInterval)
+	ctx, cancel := context.WithTimeout(m.ctx, m.cfg.HeartbeatInterval)
 	defer cancel()
 	conn, err := rpc.Dial(ctx, m.dev, peer, proto.MasterService, nil, m.cfg.RPC)
 	if err != nil {
@@ -867,15 +602,13 @@ func (m *Master) waitOutLease(leaseStartV simnet.VTime, epoch uint64) bool {
 	}
 	target := leaseStartV.Add(m.cfg.LeaseTerm)
 	for {
-		select {
-		case <-m.stop:
+		if m.ctx.Err() != nil {
 			return false
-		default:
 		}
 		m.mu.Lock()
 		aborted := m.role != roleStandby || m.epoch != epoch || m.lastPrimaryV != leaseStartV
 		var alive []simnet.NodeID
-		for _, s := range m.servers {
+		for _, s := range m.st.servers {
 			if s.alive {
 				alive = append(alive, s.node)
 			}
@@ -922,7 +655,7 @@ func (m *Master) pingServer(node simnet.NodeID) error {
 	if err != nil {
 		return err
 	}
-	ctx, cancel := m.stopCtx(m.cfg.HeartbeatInterval)
+	ctx, cancel := context.WithTimeout(m.ctx, m.cfg.HeartbeatInterval)
 	defer cancel()
 	if _, _, err := conn.Call(ctx, proto.MtPing, nil); err != nil {
 		m.dropCtrlConn(node, conn)
@@ -934,8 +667,9 @@ func (m *Master) pingServer(node simnet.NodeID) error {
 // promote assumes the primaryship at a bumped epoch. The replicated
 // server liveness is preserved (a server the old primary declared dead
 // stays dead, so provisional dirtiness and its absolution survive the
-// failover), but alive servers get a fresh heartbeat grace so the monitor
-// does not sweep them before they re-home to us.
+// failover), but the ephemeral primary state starts afresh: every server
+// gets a new heartbeat grace (see beat) so the monitor does not sweep them
+// before they re-home to us.
 func (m *Master) promote(oldEpoch uint64) {
 	startV := m.vnow()
 	m.mu.Lock()
@@ -946,12 +680,8 @@ func (m *Master) promote(oldEpoch uint64) {
 	m.epoch++
 	m.role = rolePrimary
 	m.leader = m.cfg.Node
-	now := time.Now()
-	for _, s := range m.servers {
-		if s.alive {
-			s.lastBeat = now
-		}
-	}
+	m.beats = make(map[simnet.NodeID]*serverBeat)
+	m.underRepair = make(map[repairKey]bool)
 	m.rescheduleStalledLocked()
 	m.ctr.failovers.Inc()
 	m.setRoleGaugesLocked()

@@ -79,6 +79,25 @@ func (h *replHarness) waitRole(m *Master, want string, minEpoch uint64) {
 		m.Node(), role, epoch, leader, want, minEpoch)
 }
 
+// waitAttached blocks until every standby is an attached follower of the
+// boot primary: from then on a committed record is a replicated one (with
+// no follower attached the group degrades to immediate commit).
+func (h *replHarness) waitAttached() {
+	h.t.Helper()
+	r := &h.ms[0].repl
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		r.mu.Lock()
+		n := len(r.followers)
+		r.mu.Unlock()
+		if n == len(h.ms)-1 {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	h.t.Fatal("standbys never attached to the boot primary")
+}
+
 func regionStatusOf(t *testing.T, conn *rpc.Conn, name string) (proto.RegionStatus, bool) {
 	t.Helper()
 	resp, _, err := conn.Call(context.Background(), proto.MtRegionStatus, nil)
@@ -323,5 +342,69 @@ func TestReplicatedAllocVisibleOnStandbyAfterPromotion(t *testing.T) {
 		if got[name] != ids[name] {
 			t.Errorf("region %q: id %v on standby, want %v", name, got[name], ids[name])
 		}
+	}
+}
+
+// TestFailedReplicatedAllocKeepsRegionIDsInSync: an allocation that fails
+// while placing its replica commits nothing, so it must not consume a
+// region ID on the primary alone — the next successful allocation gets the
+// same ID whether the primary that saw the failure or a promoted standby
+// that never heard of it serves it.
+func TestFailedReplicatedAllocKeepsRegionIDsInSync(t *testing.T) {
+	nextID := func(failover bool) proto.RegionID {
+		h := newReplHarness(t, 4, 2)
+		h.waitAttached()
+		call := func(conn *rpc.Conn, mt uint16, payload []byte) ([]byte, error) {
+			resp, _, err := conn.Call(context.Background(), mt, payload)
+			return resp, err
+		}
+		alloc := func(master simnet.NodeID, req proto.AllocRequest) (*proto.RegionInfo, error) {
+			// The fake server has no beat loop; beat it so the sweep does not
+			// declare it dead under the allocation.
+			if _, err := call(h.dial(2, master), proto.MtHeartbeat, nil); err != nil {
+				t.Fatalf("heartbeat at master %v: %v", master, err)
+			}
+			var e rpc.Encoder
+			req.Encode(&e)
+			resp, err := call(h.dial(3, master), proto.MtAlloc, e.Bytes())
+			if err != nil {
+				return nil, err
+			}
+			d := rpc.NewDecoder(resp)
+			info := proto.DecodeRegionInfo(d)
+			if derr := d.Err(); derr != nil {
+				t.Fatalf("decode alloc: %v", derr)
+			}
+			return info, nil
+		}
+
+		var e rpc.Encoder
+		e.U64(1 << 20)
+		e.U32(7)
+		if _, err := call(h.dial(2, 0), proto.MtRegisterServer, e.Bytes()); err != nil {
+			t.Fatalf("register server: %v", err)
+		}
+		// The primary copy fits the lone 1 MiB server; the replica, falling
+		// back onto the same server, does not.
+		if _, err := alloc(0, proto.AllocRequest{Name: "too-big", Size: 700 << 10, StripeUnit: 4096, Replicas: 1}); err == nil {
+			t.Fatal("replicated alloc beyond capacity succeeded")
+		}
+		master := simnet.NodeID(0)
+		if failover {
+			if err := h.f.SetNodeUp(0, false); err != nil {
+				t.Fatalf("kill node 0: %v", err)
+			}
+			h.waitRole(h.ms[1], "primary", 1)
+			master = 1
+		}
+		info, err := alloc(master, proto.AllocRequest{Name: "next", Size: 64 << 10, StripeUnit: 4096})
+		if err != nil {
+			t.Fatalf("alloc after the failed one (failover=%v): %v", failover, err)
+		}
+		return info.ID
+	}
+	stayed, failedOver := nextID(false), nextID(true)
+	if stayed != failedOver {
+		t.Errorf("region ID after a failed replicated alloc: %v on the primary that saw it, %v on the promoted standby", stayed, failedOver)
 	}
 }

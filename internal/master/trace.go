@@ -21,12 +21,9 @@ func (m *Master) handleTraceFetch(ctx context.Context, _ simnet.NodeID, req *rpc
 	if err := req.Err(); err != nil {
 		return nil, err
 	}
-	m.mu.Lock()
-	if err := m.requirePrimaryLocked(); err != nil {
-		m.mu.Unlock()
+	if err := m.asPrimary(func() error { return nil }); err != nil {
 		return nil, err
 	}
-	m.mu.Unlock()
 	m.ctr.traceFetches.Inc()
 
 	spans, complete := m.tel.Tracer().SpansFor(r.Trace)
@@ -59,7 +56,7 @@ func (m *Master) tracePull(node simnet.NodeID, id telemetry.TraceID) (proto.Trac
 	}
 	var e rpc.Encoder
 	(&proto.TraceFetchRequest{Trace: id}).Encode(&e)
-	ctx, cancel := m.stopCtx(5 * time.Second)
+	ctx, cancel := context.WithTimeout(m.ctx, 5*time.Second)
 	defer cancel()
 	payload, _, err := conn.Call(ctx, proto.MtTracePull, e.Bytes())
 	if err != nil {
