@@ -406,24 +406,23 @@ func printHealthReport(r core.HealthReport, full bool) {
 }
 
 // printWindowRates renders per-window counter rates and windowed latency
-// quantiles from a merged window snapshot.
-func printWindowRates(w telemetry.WindowSnapshot) {
-	names := make([]string, 0, len(w.Counters))
-	for name := range w.Counters {
-		if w.Counters[name].Sum() > 0 {
+// quantiles from a merged snapshot's window rings.
+func printWindowRates(w telemetry.Snapshot) {
+	names := make([]string, 0, len(w.CounterWindows))
+	for name := range w.CounterWindows {
+		if w.CounterDelta(name, 0) > 0 {
 			names = append(names, name)
 		}
 	}
 	sort.Strings(names)
 	rt := telemetry.NewTable("windowed rates", "metric", "windows", "delta", "per-sec (virtual)")
 	for _, name := range names {
-		ser := w.Counters[name]
-		rt.AddRow(name, len(ser.Vals), ser.Sum(), fmt.Sprintf("%.0f", w.CounterRate(name)))
+		rt.AddRow(name, len(w.CounterWindows[name].Vals), w.CounterDelta(name, 0), fmt.Sprintf("%.0f", w.CounterRate(name)))
 	}
 	fmt.Println(rt.String())
 
-	hnames := make([]string, 0, len(w.Histograms))
-	for name := range w.Histograms {
+	hnames := make([]string, 0, len(w.HistogramWindows))
+	for name := range w.HistogramWindows {
 		hnames = append(hnames, name)
 	}
 	sort.Strings(hnames)

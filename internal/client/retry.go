@@ -107,18 +107,36 @@ func newRetrier(p RetryPolicy) *retrier {
 	return &retrier{policy: p, rng: rand.New(rand.NewSource(p.Seed))}
 }
 
-// jittered returns Backoff(attempt) spread by the policy's jitter.
-func (r *retrier) jittered(attempt int) time.Duration {
-	d := r.policy.Backoff(attempt)
-	if r.policy.Jitter == 0 || d == 0 {
-		return d
+// Jittered returns Backoff(attempt) spread by the policy's jitter: u, a
+// uniform draw in [0,1), picks the factor in [1-Jitter, 1+Jitter).
+func (p RetryPolicy) Jittered(attempt int, u float64) time.Duration {
+	p = p.withDefaults()
+	return time.Duration(float64(p.Backoff(attempt)) * (1 + p.Jitter*(2*u-1)))
+}
+
+// Sleep waits d — the one place client-side code blocks on the clock
+// between retries — and returns ctx.Err() the moment ctx is done. A
+// non-positive d, or a ctx already done, returns without arming a timer.
+func Sleep(ctx context.Context, d time.Duration) error {
+	if d <= 0 || ctx.Err() != nil {
+		return ctx.Err()
 	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// jittered draws the next delay from the retrier's seeded stream.
+func (r *retrier) jittered(attempt int) time.Duration {
 	r.mu.Lock()
 	u := r.rng.Float64()
 	r.mu.Unlock()
-	// u in [0,1) → factor in [1-Jitter, 1+Jitter).
-	factor := 1 + r.policy.Jitter*(2*u-1)
-	return time.Duration(float64(d) * factor)
+	return r.policy.Jittered(attempt, u)
 }
 
 // permanentError marks an error that must not be retried even though its
@@ -176,12 +194,8 @@ func (r *retrier) do(ctx context.Context, op func(ctx context.Context) error) er
 	var err error
 	for attempt := 0; attempt < r.policy.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			t := time.NewTimer(r.jittered(attempt - 1))
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return ctx.Err()
+			if err := Sleep(ctx, r.jittered(attempt-1)); err != nil {
+				return err
 			}
 			if r.onRetry != nil {
 				r.onRetry()

@@ -336,10 +336,11 @@ func (c *Cluster) registries() []*telemetry.Registry {
 	return out
 }
 
-// TelemetrySnapshot returns the cluster-wide merged telemetry: counters
-// and gauges summed, histograms merged, across the master, every memory
-// server, and every client opened through NewClient. Unlike
-// Client.ClusterStats it reads the in-process registries directly, so it
+// TelemetrySnapshot returns the cluster-wide merged telemetry — counters
+// and gauges summed, histograms merged, window rings merged
+// bucket-aligned — across the master, every memory server, and every
+// client opened through NewClient. Unlike Client.ClusterStats and
+// Client.ClusterHealth it reads the in-process registries directly, so it
 // is exact and does not wait for a heartbeat cycle.
 func (c *Cluster) TelemetrySnapshot() telemetry.Snapshot {
 	var out telemetry.Snapshot
@@ -382,17 +383,6 @@ func (c *Cluster) SetWindowWidth(d time.Duration) {
 	for _, r := range c.registries() {
 		r.SetWindowWidth(d)
 	}
-}
-
-// WindowSnapshot merges every node's windowed telemetry directly from the
-// in-process registries (the local counterpart of Client.ClusterHealth's
-// rates, exact and heartbeat-free).
-func (c *Cluster) WindowSnapshot() telemetry.WindowSnapshot {
-	var out telemetry.WindowSnapshot
-	for _, r := range c.registries() {
-		out.Merge(r.WindowSnapshot())
-	}
-	return out
 }
 
 // DumpHealth writes every master replica's health-engine state to w —

@@ -6,8 +6,8 @@
 // The engine runs on the primary master, which is the only vantage point
 // that already aggregates everything a verdict needs: liveness state from
 // heartbeats, repair-plane state from its own bookkeeping, and windowed
-// telemetry piggybacked on every heartbeat (see WindowSnapshot in
-// internal/telemetry). Rules never read live system state — each
+// telemetry piggybacked on every heartbeat (the window rings of a
+// telemetry.Snapshot). Rules never read live system state — each
 // evaluation receives an immutable Input assembled by the caller, so rules
 // are trivially testable and an evaluation can never deadlock against the
 // master's locks.
@@ -81,9 +81,10 @@ type Input struct {
 	Now simnet.VTime
 	// Cluster is the control plane's current view.
 	Cluster ClusterView
-	// Windows is the cluster-merged windowed telemetry (the master's own
-	// windows merged with every server's heartbeat-piggybacked snapshot).
-	Windows telemetry.WindowSnapshot
+	// Windows is the cluster-merged telemetry (the master's own snapshot
+	// merged with every server's heartbeat-piggybacked one); rules read
+	// its window rings.
+	Windows telemetry.Snapshot
 }
 
 // Finding is one target a rule considers unhealthy right now. A rule
@@ -116,7 +117,7 @@ type Probe func(in Input) (float64, bool)
 // windows (whole ring when k <= 0).
 func WindowDelta(name string, k int) Probe {
 	return func(in Input) (float64, bool) {
-		if _, ok := in.Windows.Counters[name]; !ok {
+		if _, ok := in.Windows.CounterWindows[name]; !ok {
 			return 0, false
 		}
 		return float64(in.Windows.CounterDelta(name, k)), true

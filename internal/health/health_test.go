@@ -10,18 +10,18 @@ import (
 )
 
 // winSnap builds a one-window snapshot from counter deltas and gauges.
-func winSnap(counters map[string]int64, gauges map[string]int64) telemetry.WindowSnapshot {
-	s := telemetry.WindowSnapshot{
-		WidthNS:    int64(time.Millisecond),
-		Counters:   map[string]telemetry.WindowSeries{},
-		Gauges:     map[string]telemetry.WindowSeries{},
-		Histograms: map[string]telemetry.WindowHistogram{},
+func winSnap(counters map[string]int64, gauges map[string]int64) telemetry.Snapshot {
+	s := telemetry.Snapshot{
+		WidthNS:          int64(time.Millisecond),
+		CounterWindows:   map[string]telemetry.Ring[int64]{},
+		GaugeWindows:     map[string]telemetry.Ring[int64]{},
+		HistogramWindows: map[string]telemetry.Ring[telemetry.HistogramSnapshot]{},
 	}
 	for name, v := range counters {
-		s.Counters[name] = telemetry.WindowSeries{End: 1, Vals: []int64{v}}
+		s.CounterWindows[name] = telemetry.Ring[int64]{End: 1, Vals: []int64{v}}
 	}
 	for name, v := range gauges {
-		s.Gauges[name] = telemetry.WindowSeries{End: 1, Vals: []int64{v}}
+		s.GaugeWindows[name] = telemetry.Ring[int64]{End: 1, Vals: []int64{v}}
 	}
 	return s
 }

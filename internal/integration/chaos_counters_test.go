@@ -101,3 +101,64 @@ func TestChaosFailureCountersMove(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
+
+// One heartbeat feeds both observability planes: the snapshot a memory
+// server piggybacks is decoded once at the master, and that one value
+// answers Client.ClusterStats (the server's lifetime counters) and
+// Client.ClusterHealth (its window deltas, merged cluster-wide).
+func TestOneHeartbeatFeedsStatsAndHealth(t *testing.T) {
+	c := startCluster(t, 3, 1)
+	ctx := context.Background()
+	cli := newChaosClient(t, c, simnet.NodeID(c.Fabric().Size()-1))
+	reg, err := cli.AllocMap(ctx, "planes", 4<<20, client.AllocOptions{StripeWidth: 1})
+	if err != nil {
+		t.Fatalf("AllocMap: %v", err)
+	}
+	server := reg.Info().Servers()[0]
+	// Enough modeled traffic to push virtual time across several window
+	// buckets, so the server's next beat carries sealed windows.
+	payload := make([]byte, 256<<10)
+	for i := 0; i < 64; i++ {
+		if err := reg.Write(ctx, 0, payload); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+
+	const beats = "memserver.heartbeats"
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		stats, err := cli.ClusterStats(ctx)
+		if err != nil {
+			t.Fatalf("ClusterStats: %v", err)
+		}
+		for _, ns := range stats {
+			if ns.Role != "memserver" || ns.Node != server {
+				continue
+			}
+			total, delta := ns.Stats.Counter(beats), ns.Stats.CounterDelta(beats, 0)
+			if delta == 0 {
+				break // no sealed window on a beat yet
+			}
+			// The same decoded snapshot carries both forms, and a lifetime
+			// total is never behind the sum of its windows.
+			if total < delta {
+				t.Fatalf("node %v: lifetime %s = %d < windowed delta %d", server, beats, total, delta)
+			}
+			report, err := cli.ClusterHealth(ctx)
+			if err != nil {
+				t.Fatalf("ClusterHealth: %v", err)
+			}
+			if got := report.Windows.CounterDelta(beats, 0); got < delta {
+				t.Fatalf("health plane shows %s delta %d, the server's own beat carried %d", beats, got, delta)
+			}
+			if got := report.Windows.Counter(beats); got < total {
+				t.Fatalf("health plane shows lifetime %s = %d, the server alone reported %d", beats, got, total)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no heartbeat carried windowed telemetry to the stats plane")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}

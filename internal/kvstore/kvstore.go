@@ -174,33 +174,6 @@ func (s *Store) MaxEntry() int { return s.opts.SlotSize - slotHeader }
 // multi-key updates over the same cells the Store serves.
 func (s *Store) Txn() *txn.Space { return s.sp }
 
-// backoff waits before reprobing a contended slot. The first few retries
-// spin — a writer's critical section is a handful of one-sided ops — then
-// the wait doubles from 5µs up to a 320µs cap so a descheduled lock holder
-// gets CPU without the reader hammering the fabric. It returns ctx.Err()
-// as soon as the caller's context is done, so operations do not grind
-// through their remaining retries against a dead deadline. The txn layer
-// applies this same discipline inside its validated-read loop; the
-// function remains the package's statement of the policy (and is covered
-// directly by tests).
-func backoff(ctx context.Context, retry int) error {
-	if retry < 8 {
-		return ctx.Err()
-	}
-	shift := retry - 8
-	if shift > 6 {
-		shift = 6
-	}
-	t := time.NewTimer(5 * time.Microsecond << shift) // 5µs … 320µs
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 func hashKey(key []byte) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write(key)

@@ -366,21 +366,6 @@ func TestCapacityAndMaxEntry(t *testing.T) {
 	}
 }
 
-func TestBackoffRespectsContext(t *testing.T) {
-	canceled, cancel := context.WithCancel(context.Background())
-	cancel()
-	// Both the spin phase and the sleep phase must notice cancellation.
-	if err := backoff(canceled, 0); !errors.Is(err, context.Canceled) {
-		t.Fatalf("spin-phase backoff on canceled ctx: got %v", err)
-	}
-	if err := backoff(canceled, 20); !errors.Is(err, context.Canceled) {
-		t.Fatalf("sleep-phase backoff on canceled ctx: got %v", err)
-	}
-	if err := backoff(context.Background(), 20); err != nil {
-		t.Fatalf("backoff with live ctx: got %v", err)
-	}
-}
-
 // Regression: an operation cancelled mid-retry must surface the caller's
 // ctx.Err(), not a generic retry-exhausted error.
 func TestCancelledContextSurfacesCtxErr(t *testing.T) {

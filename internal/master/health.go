@@ -2,10 +2,10 @@ package master
 
 // The master is the health engine's host: it is the one vantage point
 // that already holds liveness verdicts, repair-plane state, and — via the
-// windowed telemetry every heartbeat piggybacks — each server's current
+// telemetry snapshot every heartbeat piggybacks — each server's current
 // rates. After every monitor tick the primary assembles an immutable
 // health.Input from that state and runs the rule engine over it; MtHealth
-// serves the resulting alert table, event ring, and merged windows.
+// serves the resulting alert table, event ring, and merged telemetry.
 
 import (
 	"context"
@@ -19,13 +19,12 @@ import (
 	"rstore/internal/telemetry"
 )
 
-// healthInputLocked assembles one evaluation's fact set: per-server
-// liveness (with whether region copies still reference the server — what
-// lets a server-silent alert resolve once repair re-homes everything),
-// repair-plane summary state, and the cluster-merged windowed telemetry.
-// Caller holds m.mu; ownWin is the master's own window snapshot, taken
-// before the lock.
-func (m *Master) healthInputLocked(now time.Time, ownWin telemetry.WindowSnapshot) health.Input {
+// healthViewLocked reads one evaluation's facts off the master's state:
+// per-server liveness (with whether region copies still reference the
+// server — what lets a server-silent alert resolve once repair re-homes
+// everything), repair-plane summary state, and every server's latest
+// telemetry snapshot. Caller holds m.mu.
+func (m *Master) healthViewLocked(now time.Time) (health.ClusterView, []*telemetry.Snapshot) {
 	referenced := make(map[simnet.NodeID]bool)
 	degraded := 0
 	for name, rs := range m.st.regionsByName {
@@ -46,7 +45,7 @@ func (m *Master) healthInputLocked(now time.Time, ownWin telemetry.WindowSnapsho
 		RepairQueueDepth: m.ctr.repairQueueDepth.Value(),
 		DegradedRegions:  degraded,
 	}
-	windows := ownWin
+	var servers []*telemetry.Snapshot
 	for _, s := range m.st.servers {
 		b := m.beat(s.node)
 		sh := health.ServerHealth{
@@ -58,11 +57,21 @@ func (m *Master) healthInputLocked(now time.Time, ownWin telemetry.WindowSnapsho
 			sh.SilentFor = now.Sub(b.lastBeat)
 		}
 		view.Servers = append(view.Servers, sh)
-		if b.hasWindows {
-			windows.Merge(b.windows)
+		if b.tel != nil {
+			servers = append(servers, b.tel)
 		}
 	}
-	return health.Input{Now: m.vnow(), Cluster: view, Windows: windows}
+	return view, servers
+}
+
+// healthInput completes an evaluation's fact set outside m.mu: own — the
+// master's own snapshot, taken by the caller before the lock — absorbs the
+// servers' snapshots into the cluster-merged telemetry the rules read.
+func (m *Master) healthInput(view health.ClusterView, own telemetry.Snapshot, servers []*telemetry.Snapshot) health.Input {
+	for _, tel := range servers {
+		own.Merge(*tel)
+	}
+	return health.Input{Now: m.vnow(), Cluster: view, Windows: own}
 }
 
 // evalHealth runs the engine over one assembled input.
@@ -74,15 +83,16 @@ func (m *Master) evalHealth(in health.Input) {
 }
 
 // handleHealth serves MtHealth: the current alert table, the health-event
-// ring, and a freshly merged window snapshot. Primary-only — a standby's
+// ring, and freshly merged telemetry. Primary-only — a standby's
 // engine has never evaluated (verdict inputs are firsthand only on the
 // primary), so its empty tables would read as "all healthy".
 func (m *Master) handleHealth(_ context.Context, _ simnet.NodeID, _ *rpc.Decoder) (*rpc.Encoder, error) {
 	m.ctr.healthRequests.Inc()
-	ownWin := m.tel.WindowSnapshot()
-	var in health.Input
+	own := m.tel.Snapshot()
+	var view health.ClusterView
+	var servers []*telemetry.Snapshot
 	if err := m.asPrimary(func() error {
-		in = m.healthInputLocked(time.Now(), ownWin)
+		view, servers = m.healthViewLocked(time.Now())
 		return nil
 	}); err != nil {
 		return nil, err
@@ -90,7 +100,7 @@ func (m *Master) handleHealth(_ context.Context, _ simnet.NodeID, _ *rpc.Decoder
 	report := proto.HealthReport{
 		Alerts:  m.engine.Alerts(),
 		Events:  m.engine.Events(),
-		Windows: in.Windows,
+		Windows: m.healthInput(view, own, servers).Windows,
 	}
 	e := &rpc.Encoder{}
 	if err := report.Encode(e); err != nil {

@@ -171,15 +171,13 @@ type Master struct {
 // serverBeat is the primary's firsthand view of one memory server.
 type serverBeat struct {
 	lastBeat time.Time
-	// stats is the latest telemetry snapshot the server piggybacked on a
-	// heartbeat, kept marshaled and forwarded verbatim by MtStats.
-	stats []byte
-	// windows is the latest windowed telemetry the server piggybacked,
-	// decoded on receipt; hasWindows marks that at least one arrived. A
-	// dead server's windows freeze at their last beat (the staleness model
-	// the health rules are written against).
-	windows    telemetry.WindowSnapshot
-	hasWindows bool
+	// tel is the latest telemetry snapshot the server piggybacked on a
+	// heartbeat (nil until one arrives), decoded on receipt and never
+	// written again — a new beat swaps the pointer — so MtStats and the
+	// health engine read it outside m.mu. A dead server's snapshot freezes
+	// at its last beat (the staleness model the health rules are written
+	// against).
+	tel *telemetry.Snapshot
 }
 
 // beat returns node's heartbeat record. A server this primary has not yet
@@ -443,9 +441,9 @@ func (m *Master) monitor() {
 		case <-m.ctx.Done():
 			return
 		case now := <-ticker.C:
-			// Snapshot the master's own windowed telemetry before taking
-			// m.mu: the registry locks are leaves and must stay that way.
-			ownWin := m.tel.WindowSnapshot()
+			// Snapshot the master's own telemetry before taking m.mu: the
+			// registry locks are leaves and must stay that way.
+			own := m.tel.Snapshot()
 			m.mu.Lock()
 			// Only the primary renders liveness verdicts: a standby's view
 			// of heartbeat recency is secondhand (servers beat at the
@@ -461,9 +459,9 @@ func (m *Master) monitor() {
 				// that would otherwise repeat silently every tick.
 				panic(fmt.Sprintf("master: liveness sweep: %v", err))
 			}
-			in := m.healthInputLocked(now, ownWin)
+			view, servers := m.healthViewLocked(now)
 			m.mu.Unlock()
-			m.evalHealth(in)
+			m.evalHealth(m.healthInput(view, own, servers))
 		}
 	}
 }
@@ -563,20 +561,20 @@ func (st *state) registerRecord(node simnet.NodeID, capacity uint64, rkey uint32
 }
 
 func (m *Master) handleHeartbeat(_ context.Context, from simnet.NodeID, req *rpc.Decoder) (*rpc.Encoder, error) {
-	// Heartbeats optionally piggyback the server's telemetry snapshot and,
-	// after that, its windowed telemetry; an empty payload (older senders,
-	// tests driving the wire directly) is a plain liveness beat.
-	var stats, win []byte
+	// Heartbeats optionally piggyback the server's telemetry snapshot; an
+	// empty payload (tests driving the wire directly) is a plain liveness
+	// beat, and so is one whose blob does not decode — the server is
+	// evidently alive, and its previous snapshot stays in place. Decoding
+	// happens here, before m.mu is taken.
+	var tel *telemetry.Snapshot
 	if req.Remaining() > 0 {
-		stats = append([]byte(nil), req.Bytes32()...)
+		blob := req.Bytes32()
 		if err := req.Err(); err != nil {
 			return nil, err
 		}
-	}
-	if req.Remaining() > 0 {
-		win = append([]byte(nil), req.Bytes32()...)
-		if err := req.Err(); err != nil {
-			return nil, err
+		var s telemetry.Snapshot
+		if s.UnmarshalBinary(blob) == nil {
+			tel = &s
 		}
 	}
 	m.ctr.heartbeats.Inc()
@@ -587,13 +585,8 @@ func (m *Master) handleHeartbeat(_ context.Context, from simnet.NodeID, req *rpc
 		}
 		b := m.beat(from)
 		b.lastBeat = time.Now()
-		if stats != nil {
-			b.stats = stats
-		}
-		if win != nil {
-			if err := b.windows.UnmarshalBinary(win); err == nil {
-				b.hasWindows = true
-			}
+		if tel != nil {
+			b.tel = tel
 		}
 		if s.alive {
 			return nil
@@ -884,33 +877,29 @@ func (m *Master) handleClusterInfo(_ context.Context, _ simnet.NodeID, _ *rpc.De
 
 // handleStats returns the cluster-wide telemetry view: the master's own
 // live snapshot first, then the latest snapshot each registered memory
-// server piggybacked on a heartbeat (forwarded marshaled, never decoded
-// on the control path).
+// server piggybacked on a heartbeat. Only the pointers are collected
+// under m.mu; encoding happens after.
 func (m *Master) handleStats(_ context.Context, _ simnet.NodeID, _ *rpc.Decoder) (*rpc.Encoder, error) {
 	m.ctr.statsRequests.Inc()
-	own, err := m.tel.Snapshot().MarshalBinary()
-	if err != nil {
-		return nil, fmt.Errorf("master: marshal stats: %w", err)
-	}
-	var e rpc.Encoder
-	return &e, m.asPrimary(func() error {
-		var nodes []simnet.NodeID
+	stats := []proto.NodeStats{{Node: m.cfg.Node, Role: "master", Stats: m.tel.Snapshot()}}
+	if err := m.asPrimary(func() error {
 		for _, id := range m.st.serverNodes() {
-			if m.beat(id).stats != nil {
-				nodes = append(nodes, id)
+			if tel := m.beat(id).tel; tel != nil {
+				stats = append(stats, proto.NodeStats{Node: id, Role: "memserver", Stats: *tel})
 			}
 		}
-		e.U32(uint32(1 + len(nodes)))
-		e.I64(int64(m.cfg.Node))
-		e.String("master")
-		e.Bytes32(own)
-		for _, id := range nodes {
-			e.I64(int64(id))
-			e.String("memserver")
-			e.Bytes32(m.beat(id).stats)
-		}
 		return nil
-	})
+	}); err != nil {
+		return nil, err
+	}
+	var e rpc.Encoder
+	e.U32(uint32(len(stats)))
+	for i := range stats {
+		if err := stats[i].Encode(&e); err != nil {
+			return nil, fmt.Errorf("master: marshal stats: %w", err)
+		}
+	}
+	return &e, nil
 }
 
 func (m *Master) handleListRegions(_ context.Context, _ simnet.NodeID, _ *rpc.Decoder) (*rpc.Encoder, error) {

@@ -1,6 +1,7 @@
 package master
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"rstore/internal/rdma"
 	"rstore/internal/rpc"
 	"rstore/internal/simnet"
+	"rstore/internal/telemetry"
 )
 
 // harness boots a master on node 0 of a small fabric and returns dialers
@@ -395,5 +397,100 @@ func TestSpuriousDeathAbsolvedOnHeartbeat(t *testing.T) {
 	}
 	if st.Lost {
 		t.Error("region still lost although a clean available copy exists")
+	}
+}
+
+// Regression: a beat whose telemetry blob is framed correctly but truncated
+// inside must still count as a liveness beat and must leave the server's
+// previous snapshot exactly as it was — for the stats plane (MtStats) and
+// the health plane (MtHealth) alike.
+func TestTornBeatKeepsPreviousTelemetry(t *testing.T) {
+	h := newHarness(t, 2)
+	conn := h.dial(1)
+	h.registerServer(conn, 1<<20, 11)
+	ctx := context.Background()
+
+	// A fake memory server's registry with sealed windows to lose.
+	reg := telemetry.New(1)
+	var now simnet.VTime
+	reg.SetWindowClock(func() simnet.VTime { return now })
+	reg.Counter("fake.ops").Add(7)
+	reg.Histogram("fake.lat").RecordValue(5)
+	now += 2 * simnet.VTime(time.Millisecond)
+	good, err := reg.Snapshot().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	beat := func(blob []byte) {
+		t.Helper()
+		var e rpc.Encoder
+		e.Bytes32(blob)
+		if _, _, err := conn.Call(ctx, proto.MtHeartbeat, e.Bytes()); err != nil {
+			t.Fatalf("heartbeat: %v", err)
+		}
+	}
+	// planes reads the server's snapshot back through MtStats (re-encoded:
+	// equal snapshots encode to equal bytes) and the cluster's merged
+	// telemetry through MtHealth.
+	planes := func() ([]byte, telemetry.Snapshot) {
+		t.Helper()
+		resp, _, err := conn.Call(ctx, proto.MtStats, nil)
+		if err != nil {
+			t.Fatalf("MtStats: %v", err)
+		}
+		d := rpc.NewDecoder(resp)
+		var server []byte
+		for i, n := 0, int(d.U32()); i < n; i++ {
+			ns, err := proto.DecodeNodeStats(d)
+			if err != nil {
+				t.Fatalf("decode stats: %v", err)
+			}
+			if ns.Role == "memserver" && ns.Node == 1 {
+				if server, err = ns.Stats.MarshalBinary(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		resp, _, err = conn.Call(ctx, proto.MtHealth, nil)
+		if err != nil {
+			t.Fatalf("MtHealth: %v", err)
+		}
+		report, err := proto.DecodeHealthReport(rpc.NewDecoder(resp))
+		if err != nil {
+			t.Fatalf("decode health: %v", err)
+		}
+		return server, report.Windows
+	}
+
+	beat(good)
+	stats, merged := planes()
+	if !bytes.Equal(stats, good) {
+		t.Fatalf("MtStats serves %d B for the server, the beat carried %d B", len(stats), len(good))
+	}
+	if merged.CounterDelta("fake.ops", 0) != 7 || merged.HistogramWindow("fake.lat", 0).Count != 1 {
+		t.Fatalf("MtHealth after the good beat: ops delta %d, lat windows %+v",
+			merged.CounterDelta("fake.ops", 0), merged.HistogramWindows["fake.lat"])
+	}
+
+	// Go silent until the sweep declares the server dead, then send the
+	// torn beat: it must revive the server like any liveness beat.
+	deadline := time.Now().Add(2 * time.Second)
+	for len(h.m.AliveServers()) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("server never marked dead")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	beat(good[:len(good)/2])
+	if got := h.m.AliveServers(); len(got) != 1 {
+		t.Fatalf("alive after torn beat = %v, want the server revived", got)
+	}
+	stats, merged = planes()
+	if !bytes.Equal(stats, good) {
+		t.Fatalf("torn beat changed the server's snapshot: MtStats serves %d B, want the previous %d B unchanged", len(stats), len(good))
+	}
+	if merged.CounterDelta("fake.ops", 0) != 7 || merged.HistogramWindow("fake.lat", 0).Count != 1 {
+		t.Fatalf("torn beat emptied the server's windows: ops delta %d, lat windows %+v",
+			merged.CounterDelta("fake.ops", 0), merged.HistogramWindows["fake.lat"])
 	}
 }

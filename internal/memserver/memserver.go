@@ -251,23 +251,19 @@ func (s *Server) heartbeat(ctx context.Context) {
 	}
 }
 
-// beatPayload marshals the node's telemetry snapshot, followed by its
-// windowed telemetry, for heartbeat piggybacking — the stats plane's
-// transport and the health engine's input feed. A marshal failure
-// degrades to a plain liveness beat (or to stats without windows).
+// beatPayload marshals the node's telemetry snapshot — lifetime totals
+// and sealed windows in one blob — for heartbeat piggybacking: the stats
+// plane's transport and the health engine's input feed. Snapshotting also
+// ticks the window sampler, so each beat seals the buckets virtual time
+// has completed since the last one. A marshal failure degrades to a plain
+// liveness beat.
 func (s *Server) beatPayload() []byte {
-	tel := s.dev.Telemetry()
-	blob, err := tel.Snapshot().MarshalBinary()
+	blob, err := s.dev.Telemetry().Snapshot().MarshalBinary()
 	if err != nil {
 		return nil
 	}
 	var e rpc.Encoder
 	e.Bytes32(blob)
-	// Snapshotting also ticks the window sampler, so each beat seals the
-	// buckets virtual time has completed since the last one.
-	if win, err := tel.WindowSnapshot().MarshalBinary(); err == nil {
-		e.Bytes32(win)
-	}
 	return e.Bytes()
 }
 

@@ -9,17 +9,18 @@ import (
 
 // HealthReport is the MtHealth response: the primary master's current
 // alert table, its bounded health-event ring, and the cluster-merged
-// windowed telemetry backing the verdicts (so the CLI can print per-window
-// rates from the same data the rules judged).
+// telemetry backing the verdicts (so the CLI can print per-window rates
+// from the same data the rules judged).
 type HealthReport struct {
 	Alerts []health.Alert
 	Events []health.Event
-	// Windows is the merged windowed telemetry from the last evaluation.
-	Windows telemetry.WindowSnapshot
+	// Windows is the cluster-merged telemetry snapshot, lifetime totals
+	// and window rings alike.
+	Windows telemetry.Snapshot
 }
 
-// Encode marshals the report. The window snapshot travels in its own
-// binary format nested as a byte field, like telemetry snapshots do.
+// Encode marshals the report. The snapshot travels in its own binary
+// format nested as a byte field, as in NodeStats.
 func (r *HealthReport) Encode(e *rpc.Encoder) error {
 	e.U32(uint32(len(r.Alerts)))
 	for _, a := range r.Alerts {
@@ -41,12 +42,7 @@ func (r *HealthReport) Encode(e *rpc.Encoder) error {
 		e.Bool(ev.Firing)
 		e.String(ev.Msg)
 	}
-	blob, err := r.Windows.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	e.Bytes32(blob)
-	return nil
+	return encodeTelemetry(e, r.Windows)
 }
 
 // DecodeHealthReport unmarshals a HealthReport.
@@ -76,11 +72,8 @@ func DecodeHealthReport(d *rpc.Decoder) (HealthReport, error) {
 			Msg:      d.String(),
 		})
 	}
-	blob := d.Bytes32()
-	if err := d.Err(); err != nil {
-		return HealthReport{}, err
-	}
-	if err := r.Windows.UnmarshalBinary(blob); err != nil {
+	var err error
+	if r.Windows, err = decodeTelemetry(d); err != nil {
 		return HealthReport{}, err
 	}
 	return r, nil

@@ -438,17 +438,11 @@ type NodeStats struct {
 	Stats telemetry.Snapshot
 }
 
-// Encode marshals the node stats. The snapshot travels in its own binary
-// format (see telemetry.Snapshot.MarshalBinary) nested as a byte field.
+// Encode marshals the node stats.
 func (n *NodeStats) Encode(e *rpc.Encoder) error {
-	blob, err := n.Stats.MarshalBinary()
-	if err != nil {
-		return err
-	}
 	e.I64(int64(n.Node))
 	e.String(n.Role)
-	e.Bytes32(blob)
-	return nil
+	return encodeTelemetry(e, n.Stats)
 }
 
 // DecodeNodeStats unmarshals a NodeStats.
@@ -457,14 +451,31 @@ func DecodeNodeStats(d *rpc.Decoder) (NodeStats, error) {
 		Node: simnet.NodeID(d.I64()),
 		Role: d.String(),
 	}
+	var err error
+	n.Stats, err = decodeTelemetry(d)
+	return n, err
+}
+
+// encodeTelemetry nests a snapshot in its own binary format (see
+// telemetry.Snapshot.MarshalBinary) as a byte field — the one form in
+// which telemetry crosses the control plane.
+func encodeTelemetry(e *rpc.Encoder, s telemetry.Snapshot) error {
+	blob, err := s.MarshalBinary()
+	if err != nil {
+		return err
+	}
+	e.Bytes32(blob)
+	return nil
+}
+
+func decodeTelemetry(d *rpc.Decoder) (telemetry.Snapshot, error) {
+	var s telemetry.Snapshot
 	blob := d.Bytes32()
 	if err := d.Err(); err != nil {
-		return n, err
+		return s, err
 	}
-	if err := n.Stats.UnmarshalBinary(blob); err != nil {
-		return n, err
-	}
-	return n, nil
+	err := s.UnmarshalBinary(blob)
+	return s, err
 }
 
 // RepairPullRequest asks a memory server to pull [StartOff, Len) of one

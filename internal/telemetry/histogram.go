@@ -9,9 +9,8 @@ import (
 	"time"
 )
 
-// reservoirSize bounds per-histogram memory; beyond it, samples are kept
-// via reservoir sampling (Vitter's algorithm R with a deterministic hash
-// so runs are reproducible).
+// reservoirSize bounds a histogram's lifetime sample reservoir (a window's
+// is winReservoir); beyond it, samples are kept via reservoir sampling.
 const reservoirSize = 4096
 
 // Histogram records a stream of float64 observations and answers summary
@@ -21,28 +20,17 @@ type Histogram struct {
 	off *atomic.Bool
 	win *winShared // registry window config; nil on zero-value histograms
 
-	mu      sync.Mutex
-	count   int64
-	sum     float64
-	min     float64
-	max     float64
-	seen    int64 // observations offered to the reservoir
-	samples []float64
+	mu    sync.Mutex
+	total HistogramSnapshot // lifetime accumulator
 
-	// In-progress window (bucket winBucket) and the ring of sealed
-	// windows ending at bucket winEnd, all guarded by mu. Observations
+	// cur accumulates the in-progress window, bucket curBucket; when the
+	// clock moves past it the window is sealed into ring. Observations
 	// bucket themselves here inline so windowed quantiles come from
-	// samples of that window alone (see window.go).
-	winInit    bool
-	winBucket  int64
-	curCount   int64
-	curSum     float64
-	curMin     float64
-	curMax     float64
-	curSeen    int64
-	curSamples []float64
-	winEnd     int64
-	winRing    []HistogramSnapshot
+	// samples of that window alone (see window.go). All guarded by mu.
+	windowed  bool
+	curBucket int64
+	cur       HistogramSnapshot
+	ring      Ring[HistogramSnapshot]
 }
 
 // RecordValue adds one observation.
@@ -52,7 +40,16 @@ func (h *Histogram) RecordValue(v float64) {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.observe(v)
+	h.total.observe(v, reservoirSize)
+	// A nil or disabled window config makes the rest a branch.
+	if now, width := h.win.bucketNow(); width > 0 {
+		if !h.windowed {
+			h.windowed, h.curBucket = true, now
+		} else if now > h.curBucket {
+			h.seal(now)
+		}
+		h.cur.observe(v, winReservoir)
+	}
 }
 
 // RecordDuration adds one observation measured as a duration (stored in
@@ -75,88 +72,40 @@ func (h *Histogram) Summary() string {
 		time.Duration(h.Max()))
 }
 
-// observe updates summary stats and the reservoir. Caller holds h.mu.
-func (h *Histogram) observe(v float64) {
-	if h.count == 0 || v < h.min {
-		h.min = v
+// observe adds one observation to the accumulator: exact summary stats
+// plus a reservoir of at most capacity samples (Vitter's algorithm R; the
+// stand-in for a uniform draw in [0, Count) is a hash of the observation
+// index, so repeated runs keep identical reservoirs).
+func (s *HistogramSnapshot) observe(v float64, capacity int) {
+	if s.Count == 0 || v < s.Min {
+		s.Min = v
 	}
-	if h.count == 0 || v > h.max {
-		h.max = v
+	if s.Count == 0 || v > s.Max {
+		s.Max = v
 	}
-	h.count++
-	h.sum += v
-	h.reservoirAdd(v)
-	h.windowObserve(v)
-}
-
-// windowObserve buckets one observation into the current window, sealing
-// completed windows first. Caller holds h.mu. A nil or disabled window
-// config makes this a branch.
-func (h *Histogram) windowObserve(v float64) {
-	b, ok := h.win.bucketNow()
-	if !ok {
+	s.Count++
+	s.Sum += v
+	if len(s.Samples) < capacity {
+		s.Samples = append(s.Samples, v)
 		return
 	}
-	if !h.winInit {
-		h.winInit = true
-		h.winBucket = b
-	} else if b > h.winBucket {
-		h.sealWindowLocked(b)
-	}
-	if h.curCount == 0 || v < h.curMin {
-		h.curMin = v
-	}
-	if h.curCount == 0 || v > h.curMax {
-		h.curMax = v
-	}
-	h.curCount++
-	h.curSum += v
-	h.curSeen++
-	if len(h.curSamples) < winReservoir {
-		h.curSamples = append(h.curSamples, v)
-		return
-	}
-	// Same deterministic Vitter-R draw as the cumulative reservoir.
-	x := uint64(h.curSeen) * 0x9e3779b97f4a7c15
+	x := uint64(s.Count) * 0x9e3779b97f4a7c15
 	x ^= x >> 33
-	if idx := x % uint64(h.curSeen); idx < winReservoir {
-		h.curSamples[idx] = v
+	if idx := x % uint64(s.Count); idx < uint64(capacity) {
+		s.Samples[idx] = v
 	}
 }
 
-// sealWindowLocked closes the in-progress window into the ring (gap-
-// filling skipped buckets with empty windows) and starts bucket now.
-// Caller holds h.mu and guarantees now > h.winBucket.
-func (h *Histogram) sealWindowLocked(now int64) {
-	snap := HistogramSnapshot{Count: h.curCount, Sum: h.curSum}
-	if h.curCount > 0 {
-		snap.Min, snap.Max = h.curMin, h.curMax
-		snap.Samples = h.curSamples
-	}
-	if h.winRing == nil {
-		h.winEnd = h.winBucket
-		h.winRing = append(h.winRing, snap)
-	} else if h.winBucket > h.winEnd {
-		gap := h.winBucket - h.winEnd - 1
-		if gap >= maxWindows {
-			h.winRing = h.winRing[:0]
-			for i := 0; i < maxWindows-1; i++ {
-				h.winRing = append(h.winRing, HistogramSnapshot{})
-			}
-		} else {
-			for i := int64(0); i < gap; i++ {
-				h.winRing = append(h.winRing, HistogramSnapshot{})
-			}
-		}
-		h.winRing = append(h.winRing, snap)
-		if len(h.winRing) > maxWindows {
-			h.winRing = append(h.winRing[:0], h.winRing[len(h.winRing)-maxWindows:]...)
-		}
-		h.winEnd = h.winBucket
-	}
-	h.curCount, h.curSum, h.curMin, h.curMax, h.curSeen = 0, 0, 0, 0, 0
-	h.curSamples = nil
-	h.winBucket = now
+// seal closes the in-progress window into the ring (which gap-fills
+// skipped buckets with empty windows) and starts bucket now. Caller holds
+// h.mu and guarantees now > h.curBucket. The sealed reservoir is never
+// written again — the capacity clip makes any later append reallocate —
+// so frozen rings share it instead of copying.
+func (h *Histogram) seal(now int64) {
+	w := h.cur
+	w.Samples = w.Samples[:len(w.Samples):len(w.Samples)]
+	h.ring.record(h.curBucket, w, HistogramSnapshot{})
+	h.cur, h.curBucket = HistogramSnapshot{}, now
 }
 
 // resetWindow drops the in-progress window and the sealed ring; the next
@@ -164,91 +113,60 @@ func (h *Histogram) sealWindowLocked(now int64) {
 // (old-width windows would misalign against new-width buckets).
 func (h *Histogram) resetWindow() {
 	h.mu.Lock()
-	h.winInit, h.winBucket = false, 0
-	h.curCount, h.curSum, h.curMin, h.curMax, h.curSeen = 0, 0, 0, 0, 0
-	h.curSamples = nil
-	h.winRing, h.winEnd = nil, 0
+	h.windowed, h.curBucket = false, 0
+	h.cur, h.ring = HistogramSnapshot{}, Ring[HistogramSnapshot]{}
 	h.mu.Unlock()
 }
 
-// windowSnapshot seals any window completed before bucket now and freezes
-// the ring. ok is false when the histogram has never windowed anything.
-func (h *Histogram) windowSnapshot(now int64) (WindowHistogram, bool) {
+// freeze returns the lifetime value and, when windowing is on (width > 0),
+// the ring of sealed windows after sealing any window completed before
+// bucket now. A histogram that never windowed anything returns an empty
+// ring.
+func (h *Histogram) freeze(now, width int64) (HistogramSnapshot, Ring[HistogramSnapshot]) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.winInit && now > h.winBucket {
-		h.sealWindowLocked(now)
+	var ring Ring[HistogramSnapshot]
+	if width > 0 {
+		if h.windowed && now > h.curBucket {
+			h.seal(now)
+		}
+		ring = h.ring.clone()
 	}
-	if len(h.winRing) == 0 {
-		return WindowHistogram{}, false
-	}
-	out := WindowHistogram{End: h.winEnd, Windows: make([]HistogramSnapshot, len(h.winRing))}
-	for i, s := range h.winRing {
-		s.Samples = append([]float64(nil), s.Samples...)
-		out.Windows[i] = s
-	}
-	return out, true
+	total := h.total
+	total.Samples = append([]float64(nil), total.Samples...)
+	return total, ring
 }
 
-// reservoirAdd offers v to the sample reservoir. Caller holds h.mu.
-func (h *Histogram) reservoirAdd(v float64) {
-	h.seen++
-	if len(h.samples) < reservoirSize {
-		h.samples = append(h.samples, v)
-		return
-	}
-	// Deterministic stand-in for a uniform draw in [0, seen): hash the
-	// observation index so repeated runs keep identical reservoirs.
-	x := uint64(h.seen) * 0x9e3779b97f4a7c15
-	x ^= x >> 33
-	if idx := x % uint64(h.seen); idx < reservoirSize {
-		h.samples[idx] = v
-	}
+// Snapshot freezes the histogram's lifetime value.
+func (h *Histogram) Snapshot() HistogramSnapshot {
+	total, _ := h.freeze(0, 0)
+	return total
+}
+
+// stats returns the lifetime summary stats; Samples stays behind the
+// mutex.
+func (h *Histogram) stats() HistogramSnapshot {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	s := h.total
+	s.Samples = nil
+	return s
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
+func (h *Histogram) Count() int64 { return h.stats().Count }
 
 // Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
+func (h *Histogram) Sum() float64 { return h.stats().Sum }
 
 // Min returns the smallest observation, or 0 for an empty histogram.
-func (h *Histogram) Min() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
+func (h *Histogram) Min() float64 { return h.stats().Min }
 
 // Max returns the largest observation, or 0 for an empty histogram.
-func (h *Histogram) Max() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.max
-}
+func (h *Histogram) Max() float64 { return h.stats().Max }
 
 // Mean returns the arithmetic mean, or 0 for an empty histogram.
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
+func (h *Histogram) Mean() float64 { return h.stats().Mean() }
 
 // Quantile returns the q-quantile (q in [0,1], clamped) estimated from the
 // sample reservoir. Empty histograms return 0; a single sample answers
@@ -256,7 +174,18 @@ func (h *Histogram) Mean() float64 {
 func (h *Histogram) Quantile(q float64) float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return quantileOf(h.samples, q)
+	return h.total.Quantile(q)
+}
+
+// Merge folds the contents of o into h (see HistogramSnapshot.Merge).
+func (h *Histogram) Merge(o *Histogram) {
+	if o == nil || h == o {
+		return
+	}
+	snap := o.Snapshot()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.total.Merge(snap)
 }
 
 // quantileOf computes the q-quantile of unsorted samples without mutating
@@ -287,61 +216,6 @@ func quantileOf(samples []float64, q float64) float64 {
 	return sorted[idx]
 }
 
-// Merge folds the contents of o into h. Both histograms' summary stats
-// combine exactly; the reservoirs merge proportionally to how many
-// observations each side has seen, so the merged sample stays roughly
-// uniform over the union stream.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil || h == o {
-		return
-	}
-	o.mu.Lock()
-	snap := HistogramSnapshot{
-		Count:   o.count,
-		Sum:     o.sum,
-		Min:     o.min,
-		Max:     o.max,
-		Samples: append([]float64(nil), o.samples...),
-	}
-	seen := o.seen
-	o.mu.Unlock()
-	if snap.Count == 0 {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.mergeLocked(snap, seen)
-}
-
-// MergeSnapshot folds a frozen snapshot (e.g. from another node) into h.
-func (h *Histogram) MergeSnapshot(o HistogramSnapshot) {
-	if o.Count == 0 {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.mergeLocked(o, o.Count)
-}
-
-// mergeLocked merges snapshot o (whose reservoir saw oSeen observations)
-// into h. Caller holds h.mu.
-func (h *Histogram) mergeLocked(o HistogramSnapshot, oSeen int64) {
-	if h.count == 0 || o.Min < h.min {
-		h.min = o.Min
-	}
-	if h.count == 0 || o.Max > h.max {
-		h.max = o.Max
-	}
-	h.count += o.Count
-	h.sum += o.Sum
-	h.samples = mergeReservoirs(h.samples, h.seen, o.Samples, oSeen)
-	h.seen += oSeen
-	if int64(len(h.samples)) > h.seen {
-		// Defensive: never claim a bigger reservoir than the stream.
-		h.samples = h.samples[:h.seen]
-	}
-}
-
 // mergeReservoirs combines two uniform reservoirs drawn from streams of
 // aSeen and bSeen observations into one reservoir of at most reservoirSize
 // samples, weighting each side by its stream length. Deterministic.
@@ -358,7 +232,9 @@ func mergeReservoirs(a []float64, aSeen int64, b []float64, bSeen int64) []float
 		return out
 	}
 	if len(a)+len(b) <= reservoirSize {
-		return append(a, b...)
+		// Clipped so the append never writes into a's backing array:
+		// frozen snapshots and sealed windows share reservoirs.
+		return append(a[:len(a):len(a)], b...)
 	}
 	total := aSeen + bSeen
 	if total <= 0 {
@@ -400,24 +276,10 @@ func strideSample(s []float64, n int) []float64 {
 	return out
 }
 
-// Snapshot freezes the histogram into a plain value.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := HistogramSnapshot{
-		Count: h.count,
-		Sum:   h.sum,
-	}
-	if h.count > 0 {
-		s.Min = h.min
-		s.Max = h.max
-	}
-	s.Samples = append([]float64(nil), h.samples...)
-	return s
-}
-
-// HistogramSnapshot is a frozen, mergeable view of a histogram. Samples is
-// a uniform reservoir over the observation stream.
+// HistogramSnapshot is a histogram's value — exact summary stats plus
+// Samples, a uniform reservoir over the observation stream — frozen and
+// mergeable. A live Histogram accumulates into two of them (its lifetime
+// total and its in-progress window) behind its mutex.
 type HistogramSnapshot struct {
 	Count   int64
 	Sum     float64

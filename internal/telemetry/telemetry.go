@@ -4,10 +4,12 @@
 // simnet virtual time.
 //
 // Every node (device) owns one Registry; the layers running on that node —
-// rdma, rpc, client, master, memserver — register named metrics in it. The
-// Snapshot API freezes a registry into a plain value that can be merged
-// with other nodes' snapshots and marshaled onto the control plane (the
-// master's MtStats RPC aggregates them cluster-wide).
+// rdma, rpc, client, master, memserver — register named metrics in it.
+// Registry.Snapshot freezes a registry into one plain value — every
+// metric's lifetime total plus its ring of sealed virtual-time windows
+// (window.go) — that merges with other nodes' snapshots and marshals onto
+// the control plane in one wire format (wire.go): memory servers piggyback
+// it on heartbeats, the master serves MtStats and MtHealth from it.
 //
 // Hot-path design: counters are sharded across cache-line-padded atomic
 // cells so concurrent writers on different cores do not bounce one line;
@@ -124,15 +126,15 @@ type Registry struct {
 	tracer *Tracer
 
 	// Window sampler state (see window.go). win configures bucketing and
-	// is shared with every histogram; the winMu fields hold the sealed
-	// counter/gauge rings and the cumulative baseline of the last tick.
+	// is shared with every histogram; the rest, guarded by mu, is the
+	// sealed counter/gauge rings and the cumulative baseline of the last
+	// tick.
 	win         *winShared
-	winMu       sync.Mutex
 	winInit     bool
 	winBucket   int64
 	winBase     map[string]int64
-	winCounters map[string]*winSeries
-	winGauges   map[string]*winSeries
+	winCounters map[string]*Ring[int64]
+	winGauges   map[string]*Ring[int64]
 }
 
 // New creates a registry for the given node with an attached tracer
@@ -144,8 +146,9 @@ func New(node simnet.NodeID) *Registry {
 		gauges:      make(map[string]*Gauge),
 		hists:       make(map[string]*Histogram),
 		win:         newWinShared(),
-		winCounters: make(map[string]*winSeries),
-		winGauges:   make(map[string]*winSeries),
+		winBase:     make(map[string]int64),
+		winCounters: make(map[string]*Ring[int64]),
+		winGauges:   make(map[string]*Ring[int64]),
 	}
 	r.tracer = newTracer(node, defaultTraceRing)
 	return r
@@ -201,9 +204,16 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Snapshot freezes the registry into a mergeable value. Zero-valued
-// metrics are included, so a snapshot also documents which metrics exist.
+// Snapshot freezes the registry into a mergeable value: every metric is
+// read once, the window sampler ticks from the values just read, and the
+// result carries lifetime totals and sealed windows alike (the newest
+// sealed bucket is the one before the current virtual instant).
+// Zero-valued metrics are included, so a snapshot also documents which
+// metrics exist; idle ones have no ring. Safe to call from any goroutine,
+// any number of times per bucket.
 func (r *Registry) Snapshot() Snapshot {
+	// The clock reads the fabric frontier: sample it before taking r.mu.
+	now, width := r.win.bucketNow()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := Snapshot{
@@ -217,17 +227,47 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, g := range r.gauges {
 		s.Gauges[name] = g.Value()
 	}
+	if width > 0 {
+		r.tickLocked(now, s.Counters, s.Gauges)
+		s.WidthNS = width
+		s.CounterWindows = cloneRings(r.winCounters)
+		s.GaugeWindows = cloneRings(r.winGauges)
+		s.HistogramWindows = make(map[string]Ring[HistogramSnapshot])
+	}
 	for name, h := range r.hists {
-		s.Histograms[name] = h.Snapshot()
+		total, ring := h.freeze(now, width)
+		s.Histograms[name] = total
+		if len(ring.Vals) > 0 {
+			s.HistogramWindows[name] = ring
+		}
 	}
 	return s
 }
 
+func cloneRings(live map[string]*Ring[int64]) map[string]Ring[int64] {
+	out := make(map[string]Ring[int64], len(live))
+	for name, ring := range live {
+		out[name] = ring.clone()
+	}
+	return out
+}
+
 // Snapshot is a frozen view of one registry (or, after Merge, of several).
+// A metric's frozen form is its lifetime value plus its ring of sealed
+// windows: Counters/Gauges/Histograms hold the former, the *Windows maps
+// the latter under the same names (only metrics that were ever active in
+// a window have a ring).
 type Snapshot struct {
 	Counters   map[string]int64
 	Gauges     map[string]int64
 	Histograms map[string]HistogramSnapshot
+
+	// WidthNS is the window bucket width in nanoseconds of virtual time.
+	// Zero means windowing was disabled (the window maps are nil).
+	WidthNS          int64
+	CounterWindows   map[string]Ring[int64]
+	GaugeWindows     map[string]Ring[int64]
+	HistogramWindows map[string]Ring[HistogramSnapshot]
 }
 
 // Counter returns the named counter's value (zero when absent).
@@ -236,18 +276,18 @@ func (s Snapshot) Counter(name string) int64 { return s.Counters[name] }
 // Gauge returns the named gauge's value (zero when absent).
 func (s Snapshot) Gauge(name string) int64 { return s.Gauges[name] }
 
-// Merge folds o into s: counters and gauges add, histograms merge. Nil
-// maps are initialized, so the zero Snapshot is a valid accumulator.
+// Merge folds o into s: counters and gauges add, histograms merge, and
+// window rings merge bucket-aligned with the same per-bucket operation
+// (see Ring.merge). Nil maps are initialized, so the zero Snapshot is a
+// valid accumulator. Windows of different widths do not align: a
+// windowless s adopts o's width, a mismatch keeps s's windows unchanged
+// (the lifetime values still merge).
 func (s *Snapshot) Merge(o Snapshot) {
-	if s.Counters == nil {
-		s.Counters = make(map[string]int64)
-	}
-	if s.Gauges == nil {
-		s.Gauges = make(map[string]int64)
-	}
-	if s.Histograms == nil {
-		s.Histograms = make(map[string]HistogramSnapshot)
-	}
+	ensure(&s.Counters)
+	ensure(&s.Gauges)
+	ensure(&s.Histograms)
+	add := func(x, y int64) int64 { return x + y }
+	mergeHist := func(x, y HistogramSnapshot) HistogramSnapshot { x.Merge(y); return x }
 	for name, v := range o.Counters {
 		s.Counters[name] += v
 	}
@@ -255,9 +295,29 @@ func (s *Snapshot) Merge(o Snapshot) {
 		s.Gauges[name] += v
 	}
 	for name, h := range o.Histograms {
-		merged := s.Histograms[name]
-		merged.Merge(h)
-		s.Histograms[name] = merged
+		s.Histograms[name] = mergeHist(s.Histograms[name], h)
+	}
+	if o.WidthNS == 0 || (s.WidthNS != 0 && s.WidthNS != o.WidthNS) {
+		return
+	}
+	s.WidthNS = o.WidthNS
+	ensure(&s.CounterWindows)
+	ensure(&s.GaugeWindows)
+	ensure(&s.HistogramWindows)
+	for name, ring := range o.CounterWindows {
+		s.CounterWindows[name] = s.CounterWindows[name].merge(ring, add)
+	}
+	for name, ring := range o.GaugeWindows {
+		s.GaugeWindows[name] = s.GaugeWindows[name].merge(ring, add)
+	}
+	for name, ring := range o.HistogramWindows {
+		s.HistogramWindows[name] = s.HistogramWindows[name].merge(ring, mergeHist)
+	}
+}
+
+func ensure[V any](m *map[string]V) {
+	if *m == nil {
+		*m = make(map[string]V)
 	}
 }
 

@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"math"
 	"strings"
 	"sync"
@@ -282,21 +284,44 @@ func TestSnapshotWireRoundTrip(t *testing.T) {
 }
 
 func TestSnapshotWireRejectsGarbage(t *testing.T) {
-	var s Snapshot
-	for _, data := range [][]byte{
-		nil,
-		{99},                        // bad version
-		{1, 0xff, 0xff, 0xff, 0xff}, // absurd counter count
-		{1, 1, 0, 0, 0},             // truncated counter record
-	} {
-		if err := s.UnmarshalBinary(data); err == nil {
-			t.Fatalf("accepted garbage %v", data)
+	le := binary.LittleEndian
+	header := func(width int64) []byte { return le.AppendUint64([]byte{snapshotWireVersion}, uint64(width)) }
+	// oneCounter is a whole snapshot: one counter "x" with an n-window
+	// ring, no gauges, no histograms.
+	oneCounter := func(width int64, n int) []byte {
+		buf := le.AppendUint32(header(width), 1)
+		buf, _ = appendName(buf, "x")
+		buf = le.AppendUint64(buf, 7)
+		buf = append(buf, uint8(n))
+		for i := 0; i < n+1; i++ { // end, then n values
+			buf = le.AppendUint64(buf, 40)
 		}
+		return le.AppendUint64(buf, 0) // zero gauges, zero histograms
 	}
-	// Trailing bytes rejected.
-	good, _ := Snapshot{}.MarshalBinary()
-	if err := s.UnmarshalBinary(append(good, 0)); err == nil {
-		t.Fatal("accepted trailing bytes")
+	var s Snapshot
+	if err := s.UnmarshalBinary(oneCounter(1000, maxWindows)); err != nil || s.CounterDelta("x", 0) != 40*maxWindows {
+		t.Fatalf("full-length ring rejected: %v (%+v)", err, s)
+	}
+	want := s.String()
+	for name, data := range map[string][]byte{
+		"empty":                  nil,
+		"bad version":            {99},
+		"absurd counter count":   append(header(0), 0xff, 0xff, 0xff, 0xff),
+		"truncated counter":      append(header(0), 1, 0, 0, 0),
+		"ring over maxWindows":   oneCounter(1000, maxWindows+1),
+		"negative width":         oneCounter(-1000, 2),
+		"ring without a width":   oneCounter(0, 2),
+		"trailing bytes":         append(oneCounter(1000, 2), 0),
+		"torn inside the ring":   oneCounter(1000, 8)[:40],
+		"torn in the last count": oneCounter(1000, 8)[:len(oneCounter(1000, 8))-1],
+	} {
+		if err := s.UnmarshalBinary(data); !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("%s: err = %v, want ErrBadSnapshot", name, err)
+		}
+		// A failed decode leaves the receiver as it was.
+		if got := s.String(); got != want || s.CounterDelta("x", 0) != 40*maxWindows {
+			t.Fatalf("%s: failed decode modified the receiver:\n%s", name, got)
+		}
 	}
 }
 

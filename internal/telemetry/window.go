@@ -1,36 +1,31 @@
 package telemetry
 
-// Windowed time series: every registry metric additionally reports
-// per-window values over a ring of fixed-width virtual-time buckets, so
-// operators (and the master's health engine) can see *current* rates and
-// windowed latency quantiles instead of lifetime totals.
+// Windowed time series: besides its lifetime value, every registry metric
+// reports per-window values over a ring of fixed-width virtual-time
+// buckets, so operators (and the master's health engine) can see *current*
+// rates and windowed latency quantiles instead of lifetime totals. A
+// Snapshot carries both: the cumulative value and the sealed ring.
 //
 // Buckets are keyed by the fabric-wide virtual clock — bucket k covers
 // [k*width, (k+1)*width) of virtual time — so every node's windows align
-// cluster-wide and merged series stay bucket-exact even when snapshots
+// cluster-wide and merged rings stay bucket-exact even when snapshots
 // were taken at different boundaries. Virtual time advances only as
 // modeled work happens, which is exactly the property the windows want:
 // an idle cluster produces empty windows, not wall-clock noise.
 //
 // Collection is split to keep the hot path flat:
 //
-//   - Counters and gauges stay cumulative; the registry samples them at
-//     tick boundaries (TickWindows / WindowSnapshot) and stores the
-//     per-window deltas. The mutation path is untouched. Ticks arrive at
-//     least once per heartbeat (memservers snapshot on every beat, the
-//     master on every monitor tick), so attribution is off by at most one
-//     bucket when a tick lands late.
+//   - Counters and gauges stay cumulative; Registry.Snapshot samples them
+//     from the values it just read and stores the per-window deltas. The
+//     mutation path is untouched. Snapshots arrive at least once per
+//     heartbeat (memservers snapshot on every beat, the master on every
+//     monitor tick), so attribution is off by at most one bucket when one
+//     lands late.
 //   - Histograms bucket observations inline under the mutex they already
 //     take, keeping a small per-window reservoir so windowed quantiles
 //     are answered from samples of that window alone.
-//
-// A WindowSnapshot freezes the sealed windows into a plain value that
-// merges (bucket-aligned) and marshals like the cumulative Snapshot.
 
 import (
-	"encoding/binary"
-	"fmt"
-	"math"
 	"sync/atomic"
 	"time"
 
@@ -47,9 +42,6 @@ const (
 	maxWindows = 32
 	// winReservoir bounds the per-window histogram sample reservoir.
 	winReservoir = 128
-	// winWireSamples caps marshaled per-window samples so a snapshot with
-	// many histograms stays small on the heartbeat path.
-	winWireSamples = 64
 )
 
 // clockFunc reads the virtual clock windows bucket on.
@@ -57,8 +49,8 @@ type clockFunc = func() simnet.VTime
 
 // winShared is a registry's window configuration, shared with each of its
 // histograms so observations can bucket themselves inline. A nil clock or
-// zero width disables windowing (bucketNow reports !ok and every window
-// path becomes a branch).
+// non-positive width disables windowing (bucketNow reports width 0 and
+// every window path becomes a branch).
 type winShared struct {
 	clock   atomic.Pointer[clockFunc]
 	widthNS atomic.Int64
@@ -70,33 +62,34 @@ func newWinShared() *winShared {
 	return w
 }
 
-// bucketNow returns the bucket the current virtual instant falls in.
-func (w *winShared) bucketNow() (int64, bool) {
+// bucketNow returns the bucket the current virtual instant falls in and
+// the bucket width; width 0 means windowing is disabled.
+func (w *winShared) bucketNow() (bucket, width int64) {
 	if w == nil {
-		return 0, false
+		return 0, 0
 	}
 	fn := w.clock.Load()
-	width := w.widthNS.Load()
+	width = w.widthNS.Load()
 	if fn == nil || width <= 0 {
-		return 0, false
+		return 0, 0
 	}
-	return int64((*fn)()) / width, true
+	return int64((*fn)()) / width, width
 }
 
 // SetWindowClock attaches the virtual clock windows bucket on (the rdma
 // device wires the fabric frontier here). Windowing stays disabled until
 // a clock is set. The counter/gauge sampler baselines immediately:
-// deferring the baseline to the first periodic tick would silently fold
-// everything the node does before that tick into it, so a workload that
-// finishes inside the first heartbeat interval would never show up in
-// any window.
+// deferring the baseline to the first periodic snapshot would silently
+// fold everything the node does before it into the baseline, so a
+// workload that finishes inside the first heartbeat interval would never
+// show up in any window.
 func (r *Registry) SetWindowClock(clock func() simnet.VTime) {
 	if clock == nil {
 		r.win.clock.Store(nil)
 		return
 	}
 	r.win.clock.Store(&clock)
-	r.TickWindows()
+	r.Snapshot()
 }
 
 // SetWindowWidth sets the virtual-time width of one window bucket.
@@ -108,29 +101,16 @@ func (r *Registry) SetWindowWidth(d time.Duration) {
 	if time.Duration(r.win.widthNS.Swap(int64(d))) == d {
 		return
 	}
-	r.resetWindows()
-	r.TickWindows()
-}
-
-// resetWindows drops all sealed window state and the sampler baseline.
-func (r *Registry) resetWindows() {
-	r.winMu.Lock()
-	r.winInit = false
-	r.winBucket = 0
-	r.winBase = nil
-	r.winCounters = make(map[string]*winSeries)
-	r.winGauges = make(map[string]*winSeries)
-	r.winMu.Unlock()
-
 	r.mu.Lock()
-	hists := make([]*Histogram, 0, len(r.hists))
+	r.winInit = false
+	r.winBase = make(map[string]int64)
+	r.winCounters = make(map[string]*Ring[int64])
+	r.winGauges = make(map[string]*Ring[int64])
 	for _, h := range r.hists {
-		hists = append(hists, h)
-	}
-	r.mu.Unlock()
-	for _, h := range hists {
 		h.resetWindow()
 	}
+	r.mu.Unlock()
+	r.Snapshot()
 }
 
 // WindowWidth returns the configured bucket width (0 = disabled).
@@ -138,493 +118,174 @@ func (r *Registry) WindowWidth() time.Duration {
 	return time.Duration(r.win.widthNS.Load())
 }
 
-// winSeries is one metric's sealed per-window values: a contiguous run of
-// buckets ending at bucket end, oldest first, at most maxWindows long.
-type winSeries struct {
-	end  int64
-	vals []int64
+// Ring is one metric's sealed per-window values: a contiguous run of
+// buckets ending at bucket End, oldest first, at most maxWindows long —
+// Vals[len-1] is bucket End, Vals[0] is bucket End-len+1. A counter's
+// values are per-window deltas, a gauge's the value observed in that
+// window, a histogram's the snapshot of that window's observations alone.
+type Ring[T any] struct {
+	End  int64
+	Vals []T
 }
 
 // record seals bucket with value v, gap-filling skipped buckets with fill
-// and dropping windows beyond the ring capacity.
-func (s *winSeries) record(bucket, v, fill int64) {
-	if s.vals == nil {
-		s.end = bucket
-		s.vals = append(s.vals, v)
-		return
-	}
-	if bucket <= s.end {
-		// Seals are issued under winMu with a monotone bucket cursor, so a
-		// non-advancing seal can only be a duplicate; ignore it.
-		return
-	}
-	gap := bucket - s.end - 1
-	if gap >= maxWindows {
-		s.vals = s.vals[:0]
-		for i := 0; i < maxWindows-1; i++ {
-			s.vals = append(s.vals, fill)
+// and dropping windows beyond the ring capacity. Seals are issued with a
+// monotone bucket cursor, so a non-advancing one can only be a duplicate
+// and is ignored.
+func (r *Ring[T]) record(bucket int64, v, fill T) {
+	if len(r.Vals) > 0 {
+		if bucket <= r.End {
+			return
 		}
-	} else {
-		for i := int64(0); i < gap; i++ {
-			s.vals = append(s.vals, fill)
+		gap := bucket - r.End - 1
+		if gap >= maxWindows {
+			r.Vals, gap = r.Vals[:0], maxWindows-1
+		}
+		for ; gap > 0; gap-- {
+			r.Vals = append(r.Vals, fill)
 		}
 	}
-	s.vals = append(s.vals, v)
-	if len(s.vals) > maxWindows {
-		s.vals = append(s.vals[:0], s.vals[len(s.vals)-maxWindows:]...)
+	r.Vals = append(r.Vals, v)
+	if drop := len(r.Vals) - maxWindows; drop > 0 {
+		r.Vals = append(r.Vals[:0], r.Vals[drop:]...)
 	}
-	s.end = bucket
+	r.End = bucket
 }
 
-// TickWindows advances the counter/gauge window sampler: any bucket
-// completed since the last tick is sealed with the cumulative delta
-// accumulated in between (attributed to the newest completed bucket;
-// skipped buckets seal empty). Safe to call from any goroutine, any
-// number of times per bucket. A no-op while windowing is disabled.
-func (r *Registry) TickWindows() {
-	b, ok := r.win.bucketNow()
-	if !ok {
-		return
+// last returns the newest k windows (the whole ring when k <= 0 or k
+// exceeds it).
+func (r Ring[T]) last(k int) []T {
+	if k <= 0 || k >= len(r.Vals) {
+		return r.Vals
 	}
-	// Freeze cumulative values first (registry lock), then roll the window
-	// state (window lock); the two locks never nest.
-	r.mu.Lock()
-	counters := make(map[string]int64, len(r.counters))
-	for name, c := range r.counters {
-		counters[name] = c.Value()
-	}
-	gauges := make(map[string]int64, len(r.gauges))
-	for name, g := range r.gauges {
-		gauges[name] = g.Value()
-	}
-	r.mu.Unlock()
+	return r.Vals[len(r.Vals)-k:]
+}
 
-	r.winMu.Lock()
-	defer r.winMu.Unlock()
-	if !r.winInit {
-		r.winInit = true
-		r.winBucket = b
-		r.winBase = counters
-		return
+func (r Ring[T]) clone() Ring[T] {
+	return Ring[T]{End: r.End, Vals: append([]T(nil), r.Vals...)}
+}
+
+// merge folds two bucket-aligned rings: buckets both sealed combine with
+// comb, buckets one side never sealed keep the other's value (a snapshot
+// taken at an earlier boundary simply covers fewer buckets), and the
+// union span is truncated to maxWindows ending at the later End. Values
+// are addressed by their distance back from that End, never by absolute
+// bucket, so no End — however extreme a decoded one is — can overflow
+// the arithmetic; a ring whose newest bucket trails by maxWindows or more
+// lies wholly outside the span and contributes only that the span is full
+// length: the newer ring is kept, zero-extended back to maxWindows.
+func (a Ring[T]) merge(b Ring[T], comb func(x, y T) T) Ring[T] {
+	if len(b.Vals) == 0 {
+		return a.clone()
 	}
-	if b <= r.winBucket {
-		return
+	if len(a.Vals) == 0 {
+		return b.clone()
 	}
-	sealed := b - 1 // the newest completed bucket
-	for name, cur := range counters {
-		delta := cur - r.winBase[name]
-		s := r.winCounters[name]
-		if s == nil {
-			if delta == 0 {
-				continue // don't materialize rings for idle metrics
-			}
-			s = &winSeries{}
-			r.winCounters[name] = s
+	if a.End < b.End {
+		a, b = b, a
+	}
+	lag := uint64(a.End) - uint64(b.End) // exact: a.End >= b.End
+	if lag >= maxWindows {
+		b, lag = Ring[T]{}, maxWindows
+	}
+	n := min(max(len(a.Vals), len(b.Vals)+int(lag)), maxWindows)
+	out := Ring[T]{End: a.End, Vals: make([]T, n)}
+	for back := 0; back < n; back++ {
+		ia, ib := len(a.Vals)-1-back, len(b.Vals)-1-(back-int(lag))
+		inA, inB := ia >= 0, ib >= 0 && ib < len(b.Vals)
+		var v T // a bucket in the gap between the two rings stays zero
+		switch {
+		case inA && inB:
+			v = comb(a.Vals[ia], b.Vals[ib])
+		case inA:
+			v = a.Vals[ia]
+		case inB:
+			v = b.Vals[ib]
 		}
-		s.record(sealed, delta, 0)
-	}
-	for name, v := range gauges {
-		s := r.winGauges[name]
-		if s == nil {
-			if v == 0 {
-				continue
-			}
-			s = &winSeries{}
-			r.winGauges[name] = s
-		}
-		// Gauges window as last-observed value; skipped buckets carry it.
-		s.record(sealed, v, v)
-	}
-	r.winBase = counters
-	r.winBucket = b
-}
-
-// WindowSeries is a frozen per-window series: Vals[len-1] is bucket End,
-// Vals[0] is bucket End-len+1. For counters the values are per-window
-// deltas; for gauges, the value observed in that window.
-type WindowSeries struct {
-	End  int64
-	Vals []int64
-}
-
-// start returns the series' oldest bucket.
-func (w WindowSeries) start() int64 { return w.End - int64(len(w.Vals)) + 1 }
-
-// Sum totals the series (the delta over its whole covered span).
-func (w WindowSeries) Sum() int64 {
-	var t int64
-	for _, v := range w.Vals {
-		t += v
-	}
-	return t
-}
-
-// Last returns the newest window's value (0 when empty).
-func (w WindowSeries) Last() int64 {
-	if len(w.Vals) == 0 {
-		return 0
-	}
-	return w.Vals[len(w.Vals)-1]
-}
-
-// SumLast totals the newest k windows (the whole series when k <= 0 or
-// k exceeds the ring).
-func (w WindowSeries) SumLast(k int) int64 {
-	if k <= 0 || k >= len(w.Vals) {
-		return w.Sum()
-	}
-	var t int64
-	for _, v := range w.Vals[len(w.Vals)-k:] {
-		t += v
-	}
-	return t
-}
-
-// WindowHistogram is a histogram's sealed per-window snapshots, aligned
-// like WindowSeries: Windows[len-1] is bucket End.
-type WindowHistogram struct {
-	End     int64
-	Windows []HistogramSnapshot
-}
-
-func (w WindowHistogram) start() int64 { return w.End - int64(len(w.Windows)) + 1 }
-
-// Merged folds the newest k windows into one snapshot (all windows when
-// k <= 0), answering windowed quantiles over exactly that span.
-func (w WindowHistogram) Merged(k int) HistogramSnapshot {
-	wins := w.Windows
-	if k > 0 && k < len(wins) {
-		wins = wins[len(wins)-k:]
-	}
-	var out HistogramSnapshot
-	for _, h := range wins {
-		out.Merge(h)
+		out.Vals[n-1-back] = v
 	}
 	return out
 }
 
-// WindowSnapshot is the windowed counterpart of Snapshot: per-metric
-// window rings frozen at one instant, mergeable bucket-aligned across
-// nodes and marshalable onto the control plane.
-type WindowSnapshot struct {
-	// WidthNS is the bucket width in nanoseconds of virtual time. Zero
-	// means windowing was disabled (every map is empty).
-	WidthNS    int64
-	Counters   map[string]WindowSeries
-	Gauges     map[string]WindowSeries
-	Histograms map[string]WindowHistogram
+// sample seals v as name's value for bucket. A metric with no ring yet
+// gets one only for a non-zero value, so idle metrics materialise nothing.
+func sample(rings map[string]*Ring[int64], name string, bucket, v, fill int64) {
+	ring := rings[name]
+	if ring == nil {
+		if v == 0 {
+			return
+		}
+		ring = &Ring[int64]{}
+		rings[name] = ring
+	}
+	ring.record(bucket, v, fill)
 }
 
-// Width returns the bucket width.
-func (s WindowSnapshot) Width() time.Duration { return time.Duration(s.WidthNS) }
+// tickLocked advances the counter/gauge window sampler to bucket now from
+// the cumulative values a snapshot just read: any bucket completed since
+// the last tick is sealed with the counter delta accumulated in between
+// (attributed to the newest completed bucket; skipped buckets seal empty)
+// and the gauge's current value (skipped buckets carry it). The first
+// tick only baselines. Caller holds r.mu.
+func (r *Registry) tickLocked(now int64, counters, gauges map[string]int64) {
+	if r.winInit && now <= r.winBucket {
+		return
+	}
+	seal := r.winInit
+	r.winInit, r.winBucket = true, now
+	for name, cur := range counters {
+		delta := cur - r.winBase[name]
+		r.winBase[name] = cur
+		if seal {
+			sample(r.winCounters, name, now-1, delta, 0)
+		}
+	}
+	if seal {
+		for name, v := range gauges {
+			sample(r.winGauges, name, now-1, v, v)
+		}
+	}
+}
+
+// Width returns the window bucket width (0: the snapshot has no windows).
+func (s Snapshot) Width() time.Duration { return time.Duration(s.WidthNS) }
 
 // CounterDelta sums the named counter's newest k windows (whole ring when
 // k <= 0). Absent metrics return 0.
-func (s WindowSnapshot) CounterDelta(name string, k int) int64 {
-	return s.Counters[name].SumLast(k)
+func (s Snapshot) CounterDelta(name string, k int) int64 {
+	var total int64
+	for _, v := range s.CounterWindows[name].last(k) {
+		total += v
+	}
+	return total
 }
 
 // CounterRate returns the named counter's increments per second of
-// virtual time over the series' covered span.
-func (s WindowSnapshot) CounterRate(name string) float64 {
-	ser, ok := s.Counters[name]
-	if !ok || len(ser.Vals) == 0 || s.WidthNS <= 0 {
-		return 0
-	}
-	span := time.Duration(int64(len(ser.Vals)) * s.WidthNS).Seconds()
+// virtual time over its ring's covered span.
+func (s Snapshot) CounterRate(name string) float64 {
+	span := time.Duration(int64(len(s.CounterWindows[name].Vals)) * s.WidthNS).Seconds()
 	if span <= 0 {
 		return 0
 	}
-	return float64(ser.Sum()) / span
+	return float64(s.CounterDelta(name, 0)) / span
 }
 
 // GaugeLast returns the named gauge's newest windowed value.
-func (s WindowSnapshot) GaugeLast(name string) (int64, bool) {
-	ser, ok := s.Gauges[name]
-	if !ok || len(ser.Vals) == 0 {
+func (s Snapshot) GaugeLast(name string) (int64, bool) {
+	vals := s.GaugeWindows[name].Vals
+	if len(vals) == 0 {
 		return 0, false
 	}
-	return ser.Last(), true
+	return vals[len(vals)-1], true
 }
 
 // HistogramWindow merges the named histogram's newest k windows (whole
-// ring when k <= 0) into one snapshot for windowed quantiles.
-func (s WindowSnapshot) HistogramWindow(name string, k int) HistogramSnapshot {
-	return s.Histograms[name].Merged(k)
-}
-
-// WindowSnapshot freezes every metric's sealed windows. It ticks the
-// counter/gauge sampler and seals completed histogram buckets first, so
-// the newest sealed bucket is the one before the current virtual instant.
-func (r *Registry) WindowSnapshot() WindowSnapshot {
-	out := WindowSnapshot{
-		Counters:   make(map[string]WindowSeries),
-		Gauges:     make(map[string]WindowSeries),
-		Histograms: make(map[string]WindowHistogram),
-	}
-	b, ok := r.win.bucketNow()
-	if !ok {
-		return out
-	}
-	out.WidthNS = r.win.widthNS.Load()
-	r.TickWindows()
-
-	r.winMu.Lock()
-	for name, s := range r.winCounters {
-		out.Counters[name] = WindowSeries{End: s.end, Vals: append([]int64(nil), s.vals...)}
-	}
-	for name, s := range r.winGauges {
-		out.Gauges[name] = WindowSeries{End: s.end, Vals: append([]int64(nil), s.vals...)}
-	}
-	r.winMu.Unlock()
-
-	r.mu.Lock()
-	hists := make(map[string]*Histogram, len(r.hists))
-	for name, h := range r.hists {
-		hists[name] = h
-	}
-	r.mu.Unlock()
-	for name, h := range hists {
-		if wh, ok := h.windowSnapshot(b); ok {
-			out.Histograms[name] = wh
-		}
+// ring when k <= 0) into one snapshot, answering windowed quantiles over
+// exactly that span.
+func (s Snapshot) HistogramWindow(name string, k int) HistogramSnapshot {
+	var out HistogramSnapshot
+	for _, h := range s.HistogramWindows[name].last(k) {
+		out.Merge(h)
 	}
 	return out
-}
-
-// mergeSeries folds two bucket-aligned series, combining overlapping
-// buckets with comb and keeping the union span truncated to maxWindows
-// ending at the later End.
-func mergeSeries(a, b WindowSeries, comb func(x, y int64) int64) WindowSeries {
-	if len(a.Vals) == 0 {
-		return WindowSeries{End: b.End, Vals: append([]int64(nil), b.Vals...)}
-	}
-	if len(b.Vals) == 0 {
-		return WindowSeries{End: a.End, Vals: append([]int64(nil), a.Vals...)}
-	}
-	end := a.End
-	if b.End > end {
-		end = b.End
-	}
-	start := a.start()
-	if s := b.start(); s < start {
-		start = s
-	}
-	if end-start+1 > maxWindows {
-		start = end - maxWindows + 1
-	}
-	out := WindowSeries{End: end, Vals: make([]int64, end-start+1)}
-	for i := range out.Vals {
-		bucket := start + int64(i)
-		var v int64
-		have := false
-		if bucket >= a.start() && bucket <= a.End {
-			v = a.Vals[bucket-a.start()]
-			have = true
-		}
-		if bucket >= b.start() && bucket <= b.End {
-			bv := b.Vals[bucket-b.start()]
-			if have {
-				v = comb(v, bv)
-			} else {
-				v = bv
-			}
-		}
-		out.Vals[i] = v
-	}
-	return out
-}
-
-// mergeWindowHistograms is mergeSeries for histogram windows.
-func mergeWindowHistograms(a, b WindowHistogram) WindowHistogram {
-	if len(a.Windows) == 0 {
-		return WindowHistogram{End: b.End, Windows: append([]HistogramSnapshot(nil), b.Windows...)}
-	}
-	if len(b.Windows) == 0 {
-		return WindowHistogram{End: a.End, Windows: append([]HistogramSnapshot(nil), a.Windows...)}
-	}
-	end := a.End
-	if b.End > end {
-		end = b.End
-	}
-	start := a.start()
-	if s := b.start(); s < start {
-		start = s
-	}
-	if end-start+1 > maxWindows {
-		start = end - maxWindows + 1
-	}
-	out := WindowHistogram{End: end, Windows: make([]HistogramSnapshot, end-start+1)}
-	for i := range out.Windows {
-		bucket := start + int64(i)
-		var h HistogramSnapshot
-		if bucket >= a.start() && bucket <= a.End {
-			h.Merge(a.Windows[bucket-a.start()])
-		}
-		if bucket >= b.start() && bucket <= b.End {
-			h.Merge(b.Windows[bucket-b.start()])
-		}
-		out.Windows[i] = h
-	}
-	return out
-}
-
-// Merge folds o into s bucket-aligned: counter deltas add per bucket,
-// gauges add per bucket (matching cumulative Snapshot.Merge semantics),
-// histogram windows merge. Buckets one side never sealed contribute
-// nothing — a snapshot taken at an earlier boundary simply covers fewer
-// buckets. Snapshots with different widths do not align; the one with
-// data wins and a mismatch keeps s unchanged.
-func (s *WindowSnapshot) Merge(o WindowSnapshot) {
-	if o.WidthNS == 0 {
-		return
-	}
-	if s.WidthNS == 0 {
-		s.WidthNS = o.WidthNS
-	} else if s.WidthNS != o.WidthNS {
-		return
-	}
-	if s.Counters == nil {
-		s.Counters = make(map[string]WindowSeries)
-	}
-	if s.Gauges == nil {
-		s.Gauges = make(map[string]WindowSeries)
-	}
-	if s.Histograms == nil {
-		s.Histograms = make(map[string]WindowHistogram)
-	}
-	add := func(x, y int64) int64 { return x + y }
-	for name, ser := range o.Counters {
-		s.Counters[name] = mergeSeries(s.Counters[name], ser, add)
-	}
-	for name, ser := range o.Gauges {
-		s.Gauges[name] = mergeSeries(s.Gauges[name], ser, add)
-	}
-	for name, wh := range o.Histograms {
-		s.Histograms[name] = mergeWindowHistograms(s.Histograms[name], wh)
-	}
-}
-
-// Window snapshot wire format (version 1, little-endian):
-//
-//	u8  version
-//	u64 widthNS
-//	u32 counter count; per series: u16 name len, name, i64 end,
-//	                               u16 n, i64 vals...
-//	u32 gauge count;   same layout
-//	u32 hist count;    per hist: u16 name len, name, i64 end, u16 n,
-//	    per window: i64 count, f64 sum, f64 min, f64 max,
-//	                u16 sample count, f64 samples...
-const windowWireVersion = 1
-
-// MarshalBinary encodes the window snapshot for the control plane.
-// Per-window reservoirs are subsampled to winWireSamples.
-func (s WindowSnapshot) MarshalBinary() ([]byte, error) {
-	buf := []byte{windowWireVersion}
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.WidthNS))
-	series := func(buf []byte, m map[string]WindowSeries) ([]byte, error) {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m)))
-		for name, ser := range m {
-			var err error
-			if buf, err = appendName(buf, name); err != nil {
-				return nil, err
-			}
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(ser.End))
-			buf = binary.LittleEndian.AppendUint16(buf, uint16(len(ser.Vals)))
-			for _, v := range ser.Vals {
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-			}
-		}
-		return buf, nil
-	}
-	var err error
-	if buf, err = series(buf, s.Counters); err != nil {
-		return nil, err
-	}
-	if buf, err = series(buf, s.Gauges); err != nil {
-		return nil, err
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Histograms)))
-	for name, wh := range s.Histograms {
-		if buf, err = appendName(buf, name); err != nil {
-			return nil, err
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(wh.End))
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(wh.Windows)))
-		for _, h := range wh.Windows {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(h.Count))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(h.Sum))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(h.Min))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(h.Max))
-			samples := h.Samples
-			if len(samples) > winWireSamples {
-				samples = strideSample(samples, winWireSamples)
-			}
-			buf = binary.LittleEndian.AppendUint16(buf, uint16(len(samples)))
-			for _, v := range samples {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-			}
-		}
-	}
-	return buf, nil
-}
-
-// UnmarshalBinary decodes a wire window snapshot, replacing s's contents.
-func (s *WindowSnapshot) UnmarshalBinary(data []byte) error {
-	d := wireReader{buf: data}
-	if v := d.u8(); v != windowWireVersion {
-		return fmt.Errorf("%w: window version %d", ErrBadSnapshot, v)
-	}
-	s.WidthNS = int64(d.u64())
-	series := func() map[string]WindowSeries {
-		n := d.u32()
-		if d.err != nil || n > uint32(len(data)) {
-			d.err = ErrBadSnapshot
-			return nil
-		}
-		m := make(map[string]WindowSeries, n)
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			name := d.name()
-			ser := WindowSeries{End: int64(d.u64())}
-			cnt := d.u16()
-			for j := uint16(0); j < cnt && d.err == nil; j++ {
-				ser.Vals = append(ser.Vals, int64(d.u64()))
-			}
-			m[name] = ser
-		}
-		return m
-	}
-	s.Counters = series()
-	s.Gauges = series()
-	nh := d.u32()
-	if d.err != nil || nh > uint32(len(data)) {
-		return ErrBadSnapshot
-	}
-	s.Histograms = make(map[string]WindowHistogram, nh)
-	for i := uint32(0); i < nh && d.err == nil; i++ {
-		name := d.name()
-		wh := WindowHistogram{End: int64(d.u64())}
-		cnt := d.u16()
-		for j := uint16(0); j < cnt && d.err == nil; j++ {
-			h := HistogramSnapshot{
-				Count: int64(d.u64()),
-				Sum:   math.Float64frombits(d.u64()),
-				Min:   math.Float64frombits(d.u64()),
-				Max:   math.Float64frombits(d.u64()),
-			}
-			ns := d.u16()
-			for k := uint16(0); k < ns && d.err == nil; k++ {
-				h.Samples = append(h.Samples, math.Float64frombits(d.u64()))
-			}
-			wh.Windows = append(wh.Windows, h)
-		}
-		s.Histograms[name] = wh
-	}
-	if d.err != nil {
-		return d.err
-	}
-	if len(d.buf) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, len(d.buf))
-	}
-	return nil
 }

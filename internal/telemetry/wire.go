@@ -5,25 +5,35 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"rstore/internal/simnet"
 )
 
-// Snapshot wire format (version 1, little-endian):
+// Snapshot wire format (version 2, little-endian) — the one telemetry
+// encoding on the control plane: the heartbeat piggyback, MtStats and
+// MtHealth all carry it.
 //
 //	u8  version
-//	u32 counter count; per counter: u16 name len, name bytes, i64 value
-//	u32 gauge count;   per gauge:   u16 name len, name bytes, i64 value
-//	u32 hist count;    per hist:    u16 name len, name bytes,
-//	                               i64 count, f64 sum, f64 min, f64 max,
-//	                               u32 sample count, f64 samples...
+//	u64 widthNS     window bucket width; 0 = the snapshot has no windows
+//	u32 counter count; per counter: name, i64 total, ring of i64
+//	u32 gauge count;   per gauge:   name, i64 value, ring of i64
+//	u32 hist count;    per hist:    name, hist,      ring of hist
 //
-// Histogram reservoirs are subsampled to wireMaxSamples on marshal so a
-// node snapshot with many histograms stays well under the RPC buffer
-// size; quantile answers degrade gracefully.
+//	name = u16 len, bytes
+//	ring = u8 n (<= maxWindows); when n > 0: i64 end, n values oldest first
+//	hist = i64 count, f64 sum, f64 min, f64 max, u16 samples, f64 each
+//
+// A metric's name is written once, ahead of its lifetime value and its
+// window ring, and names go out sorted, so equal snapshots encode to equal
+// bytes. Histogram reservoirs are subsampled on marshal — lifetime ones to
+// wireMaxSamples, per-window ones to winWireSamples — so a node snapshot
+// with many histograms stays well under the RPC buffer size; quantile
+// answers degrade gracefully.
 const (
-	snapshotWireVersion = 1
+	snapshotWireVersion = 2
 	wireMaxSamples      = 256
+	winWireSamples      = 64
 )
 
 // ErrBadSnapshot reports a malformed or incompatible wire snapshot.
@@ -32,42 +42,66 @@ var ErrBadSnapshot = errors.New("telemetry: malformed snapshot")
 // MarshalBinary encodes the snapshot for the control plane.
 func (s Snapshot) MarshalBinary() ([]byte, error) {
 	buf := []byte{snapshotWireVersion}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Counters)))
-	for name, v := range s.Counters {
-		var err error
-		if buf, err = appendName(buf, name); err != nil {
-			return nil, err
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.WidthNS))
+	i64 := func(buf []byte, v int64) []byte { return binary.LittleEndian.AppendUint64(buf, uint64(v)) }
+	hist := func(limit int) func([]byte, HistogramSnapshot) []byte {
+		return func(buf []byte, h HistogramSnapshot) []byte { return appendHist(buf, h, limit) }
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Gauges)))
-	for name, v := range s.Gauges {
-		var err error
-		if buf, err = appendName(buf, name); err != nil {
-			return nil, err
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+	var err error
+	if buf, err = appendMetrics(buf, s.Counters, s.CounterWindows, i64, i64); err != nil {
+		return nil, err
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Histograms)))
-	for name, h := range s.Histograms {
+	if buf, err = appendMetrics(buf, s.Gauges, s.GaugeWindows, i64, i64); err != nil {
+		return nil, err
+	}
+	return appendMetrics(buf, s.Histograms, s.HistogramWindows, hist(wireMaxSamples), hist(winWireSamples))
+}
+
+// appendMetrics encodes one metric kind: every name in either map with its
+// lifetime value (total) and its ring (each value by window).
+func appendMetrics[T any](buf []byte, totals map[string]T, rings map[string]Ring[T], total, window func([]byte, T) []byte) ([]byte, error) {
+	names := make([]string, 0, len(totals))
+	for name := range totals {
+		names = append(names, name)
+	}
+	for name := range rings {
+		if _, dup := totals[name]; !dup {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(names)))
+	for _, name := range names {
 		var err error
 		if buf, err = appendName(buf, name); err != nil {
 			return nil, err
 		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(h.Count))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(h.Sum))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(h.Min))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(h.Max))
-		samples := h.Samples
-		if len(samples) > wireMaxSamples {
-			samples = strideSample(samples, wireMaxSamples)
+		buf = total(buf, totals[name])
+		vals := rings[name].last(maxWindows)
+		buf = append(buf, uint8(len(vals)))
+		if len(vals) > 0 {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(rings[name].End))
 		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(samples)))
-		for _, v := range samples {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		for _, v := range vals {
+			buf = window(buf, v)
 		}
 	}
 	return buf, nil
+}
+
+// appendHist encodes one histogram value, lifetime or per-window alike,
+// with its reservoir subsampled to at most limit samples.
+func appendHist(buf []byte, h HistogramSnapshot, limit int) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(h.Count))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(h.Sum))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(h.Min))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(h.Max))
+	samples := strideSample(h.Samples, limit)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(samples)))
+	for _, v := range samples {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	}
+	return buf
 }
 
 func appendName(buf []byte, name string) ([]byte, error) {
@@ -78,60 +112,79 @@ func appendName(buf []byte, name string) ([]byte, error) {
 	return append(buf, name...), nil
 }
 
-// UnmarshalBinary decodes a wire snapshot, replacing s's contents.
+// UnmarshalBinary decodes a wire snapshot into a fresh value and replaces
+// s's contents only when all of data decoded; on error s is untouched.
 func (s *Snapshot) UnmarshalBinary(data []byte) error {
 	d := wireReader{buf: data}
 	if v := d.u8(); v != snapshotWireVersion {
 		return fmt.Errorf("%w: version %d", ErrBadSnapshot, v)
 	}
-	nc := d.u32()
-	if d.err != nil || nc > uint32(len(data)) {
-		return ErrBadSnapshot
+	out := Snapshot{WidthNS: int64(d.u64())}
+	if out.WidthNS < 0 {
+		return fmt.Errorf("%w: window width %d", ErrBadSnapshot, out.WidthNS)
 	}
-	s.Counters = make(map[string]int64, nc)
-	for i := uint32(0); i < nc && d.err == nil; i++ {
-		name := d.name()
-		s.Counters[name] = int64(d.u64())
-	}
-	ng := d.u32()
-	if d.err != nil || ng > uint32(len(data)) {
-		return ErrBadSnapshot
-	}
-	s.Gauges = make(map[string]int64, ng)
-	for i := uint32(0); i < ng && d.err == nil; i++ {
-		name := d.name()
-		s.Gauges[name] = int64(d.u64())
-	}
-	nh := d.u32()
-	if d.err != nil || nh > uint32(len(data)) {
-		return ErrBadSnapshot
-	}
-	s.Histograms = make(map[string]HistogramSnapshot, nh)
-	for i := uint32(0); i < nh && d.err == nil; i++ {
-		name := d.name()
-		h := HistogramSnapshot{
-			Count: int64(d.u64()),
-			Sum:   math.Float64frombits(d.u64()),
-			Min:   math.Float64frombits(d.u64()),
-			Max:   math.Float64frombits(d.u64()),
-		}
-		ns := d.u32()
-		if d.err != nil || ns > uint32(len(data)) {
-			return ErrBadSnapshot
-		}
-		h.Samples = make([]float64, 0, ns)
-		for j := uint32(0); j < ns && d.err == nil; j++ {
-			h.Samples = append(h.Samples, math.Float64frombits(d.u64()))
-		}
-		s.Histograms[name] = h
-	}
+	i64 := func(d *wireReader) int64 { return int64(d.u64()) }
+	out.Counters, out.CounterWindows = readMetrics(&d, out.WidthNS > 0, i64)
+	out.Gauges, out.GaugeWindows = readMetrics(&d, out.WidthNS > 0, i64)
+	out.Histograms, out.HistogramWindows = readMetrics(&d, out.WidthNS > 0, readHist)
 	if d.err != nil {
 		return d.err
 	}
 	if len(d.buf) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, len(d.buf))
 	}
+	*s = out
 	return nil
+}
+
+// readMetrics decodes one metric kind. Rings exist only in a windowed
+// snapshot and never exceed maxWindows; anything else fails the reader.
+func readMetrics[T any](d *wireReader, windowed bool, val func(*wireReader) T) (map[string]T, map[string]Ring[T]) {
+	n := d.u32()
+	if d.err != nil || n > uint32(len(d.buf)) {
+		d.err = ErrBadSnapshot
+		return nil, nil
+	}
+	totals := make(map[string]T, n)
+	var rings map[string]Ring[T]
+	if windowed {
+		rings = make(map[string]Ring[T])
+	}
+	for i := uint32(0); i < n && d.err == nil; i++ {
+		name := d.name()
+		totals[name] = val(d)
+		k := int(d.u8())
+		if k == 0 {
+			continue
+		}
+		if k > maxWindows || !windowed {
+			d.err = ErrBadSnapshot
+			break
+		}
+		ring := Ring[T]{End: int64(d.u64()), Vals: make([]T, k)}
+		for j := range ring.Vals {
+			ring.Vals[j] = val(d)
+		}
+		rings[name] = ring
+	}
+	return totals, rings
+}
+
+// readHist decodes one histogram value written by appendHist.
+func readHist(d *wireReader) HistogramSnapshot {
+	h := HistogramSnapshot{
+		Count: int64(d.u64()),
+		Sum:   math.Float64frombits(d.u64()),
+		Min:   math.Float64frombits(d.u64()),
+		Max:   math.Float64frombits(d.u64()),
+	}
+	if raw := d.take(8 * int(d.u16())); len(raw) > 0 {
+		h.Samples = make([]float64, len(raw)/8)
+		for i := range h.Samples {
+			h.Samples[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+	}
+	return h
 }
 
 // Span wire format (version 1, little-endian), used by the MtTraceFetch

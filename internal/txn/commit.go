@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"rstore/internal/client"
 	"rstore/internal/simnet"
@@ -154,21 +153,7 @@ func (sp *Space) runTx(ctx context.Context, fn func(tx *Tx) error, readOnly bool
 // retrySleep waits the policy's jittered backoff before retry `attempt`,
 // bailing out the moment the caller's context is done.
 func (sp *Space) retrySleep(ctx context.Context, attempt int) error {
-	d := sp.opts.Retry.Backoff(attempt)
-	if j := sp.opts.Retry.Jitter; j > 0 && d > 0 {
-		d = time.Duration(float64(d) * (1 + j*(2*sp.rng.Float64()-1)))
-	}
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return client.Sleep(ctx, sp.opts.Retry.Jittered(attempt, sp.rng.Float64()))
 }
 
 // commit drives one attempt through the four-round protocol (or the
@@ -455,7 +440,7 @@ func (sp *Space) fetchUnlockedWord(ctx context.Context, cell int) (uint64, error
 			return w, nil
 		}
 		sp.maybeBreak(ctx, cell, w)
-		if err := sp.backoff(ctx, retry); err != nil {
+		if err := backoff(ctx, retry); err != nil {
 			return 0, err
 		}
 	}

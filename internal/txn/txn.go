@@ -410,7 +410,7 @@ func (sp *Space) ReadCell(ctx context.Context, cell int) (version uint64, body [
 		} else {
 			sp.maybeBreak(ctx, cell, w)
 		}
-		if err := sp.backoff(ctx, retry); err != nil {
+		if err := backoff(ctx, retry); err != nil {
 			return 0, nil, err
 		}
 	}
@@ -439,25 +439,15 @@ func (sp *Space) ReadCellVersion(ctx context.Context, cell int) (uint64, error) 
 
 // backoff waits before re-examining a contended cell: the first few
 // retries spin (a writer's critical section is a handful of one-sided
-// ops), then the wait doubles from 5µs to a 320µs cap. It surfaces
-// ctx.Err() the moment the caller's context is done, so contended
-// operations never grind through dead retries.
-func (sp *Space) backoff(ctx context.Context, retry int) error {
+// ops), then the wait doubles from 5µs to a 320µs cap so a descheduled
+// lock holder gets CPU without the reader hammering the fabric. It
+// surfaces ctx.Err() the moment the caller's context is done, so
+// contended operations never grind through dead retries.
+func backoff(ctx context.Context, retry int) error {
 	if retry < 8 {
 		return ctx.Err()
 	}
-	shift := retry - 8
-	if shift > 6 {
-		shift = 6
-	}
-	t := time.NewTimer(5 * time.Microsecond << shift)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return client.Sleep(ctx, 5*time.Microsecond<<min(retry-8, 6))
 }
 
 // vnow returns the client's virtual-time cursor.

@@ -1,6 +1,10 @@
 package txn
 
-import "testing"
+import (
+	"context"
+	"errors"
+	"testing"
+)
 
 func TestLockWordRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
@@ -108,5 +112,20 @@ func TestRecordCapacity(t *testing.T) {
 	}
 	if c := recordCapacity(64, 4096); c >= 1 {
 		t.Errorf("tiny slot capacity = %d, want 0", c)
+	}
+}
+
+func TestBackoffRespectsContext(t *testing.T) {
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	// Both the spin phase and the sleep phase must notice cancellation.
+	if err := backoff(canceled, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("spin-phase backoff on canceled ctx: got %v", err)
+	}
+	if err := backoff(canceled, 20); !errors.Is(err, context.Canceled) {
+		t.Fatalf("sleep-phase backoff on canceled ctx: got %v", err)
+	}
+	if err := backoff(context.Background(), 20); err != nil {
+		t.Fatalf("backoff with live ctx: got %v", err)
 	}
 }
