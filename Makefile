@@ -42,8 +42,9 @@ verify: vet
 
 race: verify
 
+# Regenerate every table and figure of the evaluation (E1–E11, A1–A4).
 bench:
-	$(GO) test -bench=. -benchmem
+	$(GO) run ./cmd/rstore-bench -exp all
 
 # Non-test Go lines per package (plain wc -l over every .go file git does
 # not ignore) — the number ROADMAP asks every PR to report before/after in

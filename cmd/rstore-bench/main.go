@@ -7,11 +7,7 @@
 //	rstore-bench -exp all         # everything (takes a few minutes)
 //	rstore-bench -exp e1 -json    # also emit BENCH_E1.json (see -out)
 //
-// Experiment IDs follow DESIGN.md's per-experiment index: e1 latency,
-// e2 bandwidth, e3 control path, e4 pagerank, e5 sort, e6 notify,
-// e7 multi-client, e8 repair MTTR, e9 failover MTTR, e10 txn contention,
-// e11 ordered index, a1 stripe width, a2 replication, a3 qp-sharing,
-// a4 kv-store.
+// Experiment IDs follow DESIGN.md's per-experiment index; -list prints them.
 package main
 
 import (
@@ -19,7 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
+	"strings"
 
 	"rstore/internal/bench"
 	"rstore/internal/telemetry"
@@ -55,14 +51,34 @@ func experiments() []experiment {
 	}
 }
 
+// idSummary compresses the experiment table's ids into the form help text
+// and README quote — "e1..e11, a1..a4": one first..last run per letter, in
+// table order — so a new experiment is documented by being added.
+func idSummary(exps []experiment) string {
+	var runs []string
+	for i := 0; i < len(exps); {
+		j := i
+		for j+1 < len(exps) && exps[j+1].id[0] == exps[i].id[0] {
+			j++
+		}
+		if j == i {
+			runs = append(runs, exps[i].id)
+		} else {
+			runs = append(runs, exps[i].id+".."+exps[j].id)
+		}
+		i = j + 1
+	}
+	return strings.Join(runs, ", ")
+}
+
 func run() error {
-	exp := flag.String("exp", "all", "experiment id (e1..e10, a1..a4) or 'all'")
+	exps := experiments()
+	exp := flag.String("exp", "all", "experiment id ("+idSummary(exps)+") or 'all'")
 	list := flag.Bool("list", false, "list experiments and exit")
 	jsonOut := flag.Bool("json", false, "also write BENCH_<ID>.json per experiment (machine-readable trajectory)")
 	outDir := flag.String("out", ".", "directory for -json reports")
 	flag.Parse()
 
-	exps := experiments()
 	if *list {
 		for _, e := range exps {
 			fmt.Printf("%-4s %s\n", e.id, e.desc)
@@ -70,24 +86,10 @@ func run() error {
 		return nil
 	}
 
-	selected := map[string]bool{}
-	if *exp == "all" {
-		for _, e := range exps {
-			selected[e.id] = true
-		}
-	} else {
-		selected[*exp] = true
-	}
-	var ids []string
-	for id := range selected {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
 	ctx := context.Background()
 	ran := false
 	for _, e := range exps {
-		if !selected[e.id] {
+		if *exp != "all" && *exp != e.id {
 			continue
 		}
 		ran = true

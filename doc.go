@@ -12,7 +12,7 @@
 //
 // Start with README.md for a tour, DESIGN.md for the architecture and
 // per-experiment index, and EXPERIMENTS.md for the paper-versus-measured
-// record. The root bench_test.go regenerates every table and figure:
+// record. cmd/rstore-bench regenerates every table and figure:
 //
-//	go test -bench=. -benchmem
+//	go run ./cmd/rstore-bench -exp all
 package rstore

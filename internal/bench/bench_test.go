@@ -2,42 +2,31 @@ package bench
 
 import (
 	"context"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 )
 
 // parse helpers for rendered table cells.
 
-func cellFloat(t *testing.T, s string) float64 {
+// value reads back the number an experiment handed to AddRow for the cell —
+// the typed value, not the rendered text.
+func value(t *testing.T, tbl *metricsTable, row, col int) float64 {
 	t.Helper()
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		t.Fatalf("cell %q not a float: %v", s, err)
+	v, _, ok := tbl.Value(row, col)
+	if !ok {
+		t.Fatalf("cell [%d][%d] %q is not a number", row, col, tbl.Rows()[row][col])
 	}
 	return v
 }
 
-func cellDuration(t *testing.T, s string) time.Duration {
+// duration is value for a time-valued cell.
+func duration(t *testing.T, tbl *metricsTable, row, col int) time.Duration {
 	t.Helper()
-	// metrics renders "500ns", "2.50us", "1.50ms", "2.00s" — match the
-	// most specific suffix first.
-	for _, suf := range []struct {
-		tag  string
-		unit time.Duration
-	}{{"ns", time.Nanosecond}, {"us", time.Microsecond}, {"ms", time.Millisecond}, {"s", time.Second}} {
-		if !strings.HasSuffix(s, suf.tag) {
-			continue
-		}
-		v, err := strconv.ParseFloat(strings.TrimSuffix(s, suf.tag), 64)
-		if err != nil {
-			continue
-		}
-		return time.Duration(v * float64(suf.unit))
+	v, unit, ok := tbl.Value(row, col)
+	if !ok || unit != "ns" {
+		t.Fatalf("cell [%d][%d] %q is not a duration", row, col, tbl.Rows()[row][col])
 	}
-	t.Fatalf("cell %q not a duration", s)
-	return 0
+	return time.Duration(v)
 }
 
 func TestE1LatencyShape(t *testing.T) {
@@ -50,10 +39,10 @@ func TestE1LatencyShape(t *testing.T) {
 	if len(rows) != len(E1Sizes) {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	for _, row := range rows {
-		raw := cellDuration(t, row[1])
-		rstore := cellDuration(t, row[2])
-		tcp := cellDuration(t, row[4])
+	for r, row := range rows {
+		raw := duration(t, tbl, r, 1)
+		rstore := duration(t, tbl, r, 2)
+		tcp := duration(t, tbl, r, 4)
 		// Close to hardware: RStore within 2x of raw verbs.
 		if float64(rstore) > 2*float64(raw) {
 			t.Errorf("size %s: rstore %v not close to raw %v", row[0], rstore, raw)
@@ -64,7 +53,7 @@ func TestE1LatencyShape(t *testing.T) {
 		}
 	}
 	// Small op stays in the close-to-hardware class (single digit us).
-	if small := cellDuration(t, rows[0][2]); small > 10*time.Microsecond {
+	if small := duration(t, tbl, 0, 2); small > 10*time.Microsecond {
 		t.Errorf("8B read latency %v too high", small)
 	}
 }
@@ -82,8 +71,8 @@ func TestE2BandwidthShape(t *testing.T) {
 	// Aggregate bandwidth grows with machine count. (The smallest
 	// clusters see extra per-machine bandwidth from co-located locality —
 	// half of a 2-machine stripe is loopback — so compare from 4 up.)
-	fourUp := cellFloat(t, rows[1][2])
-	last := cellFloat(t, rows[len(rows)-1][2])
+	fourUp := value(t, tbl, 1, 2)
+	last := value(t, tbl, len(rows)-1, 2)
 	if last < 2*fourUp {
 		t.Errorf("aggregate bandwidth did not scale: %v@4 -> %v@12 Gb/s", fourUp, last)
 	}
@@ -92,7 +81,7 @@ func TestE2BandwidthShape(t *testing.T) {
 	if last < 400 || last > 900 {
 		t.Errorf("12-machine aggregate = %.0f Gb/s, want the ~700 Gb/s class", last)
 	}
-	if perMachine := cellFloat(t, rows[len(rows)-1][3]); perMachine < 35 {
+	if perMachine := value(t, tbl, len(rows)-1, 3); perMachine < 35 {
 		t.Errorf("per-machine bandwidth = %.1f Gb/s, want >= 35 (56 Gb/s links)", perMachine)
 	}
 }
@@ -106,19 +95,19 @@ func TestE3ControlShape(t *testing.T) {
 	rows := tbl.Rows()
 	// Data path flat: 8B read latency identical (within 50%) across region
 	// sizes while register cost grows by orders of magnitude.
-	firstRead := cellDuration(t, rows[0][5])
-	lastRead := cellDuration(t, rows[len(rows)-1][5])
+	firstRead := duration(t, tbl, 0, 5)
+	lastRead := duration(t, tbl, len(rows)-1, 5)
 	if ratio := float64(lastRead) / float64(firstRead); ratio > 1.5 || ratio < 0.67 {
 		t.Errorf("data path not flat: %v vs %v", firstRead, lastRead)
 	}
-	firstRegister := cellDuration(t, rows[0][4])
-	lastRegister := cellDuration(t, rows[len(rows)-1][4])
+	firstRegister := duration(t, tbl, 0, 4)
+	lastRegister := duration(t, tbl, len(rows)-1, 4)
 	if lastRegister < 10*firstRegister {
 		t.Errorf("register cost did not grow with size: %v vs %v", firstRegister, lastRegister)
 	}
 	// Warm map far cheaper than cold map (QP reuse).
-	coldMap := cellDuration(t, rows[0][2])
-	warmMap := cellDuration(t, rows[0][3])
+	coldMap := duration(t, tbl, 0, 2)
+	warmMap := duration(t, tbl, 0, 3)
 	if warmMap*2 > coldMap {
 		t.Errorf("warm map %v not amortized vs cold %v", warmMap, coldMap)
 	}
@@ -136,7 +125,7 @@ func TestE4PageRankShape(t *testing.T) {
 		t.Fatalf("E4PageRank: %v", err)
 	}
 	t.Log("\n" + tbl.String())
-	speedup := cellFloat(t, tbl.Rows()[0][5])
+	speedup := value(t, tbl, 0, 5)
 	if speedup < 1.5 || speedup > 8 {
 		t.Errorf("speedup = %.2f, want the paper's 2.6-4.2x class", speedup)
 	}
@@ -154,9 +143,9 @@ func TestE5SortShape(t *testing.T) {
 	rows := tbl.Rows()
 	// Extrapolated 256 GB row: RStore in the tens of seconds, speedup in
 	// the ~8x class.
-	last := rows[len(rows)-1]
-	rstore := cellDuration(t, last[2])
-	speedup := cellFloat(t, last[4])
+	last := len(rows) - 1
+	rstore := duration(t, tbl, last, 2)
+	speedup := value(t, tbl, last, 4)
 	if rstore < 10*time.Second || rstore > 120*time.Second {
 		t.Errorf("256GB extrapolation = %v, want the ~31.7s class", rstore)
 	}
@@ -171,8 +160,7 @@ func TestE6NotifyShape(t *testing.T) {
 		t.Fatalf("E6Notify: %v", err)
 	}
 	t.Log("\n" + tbl.String())
-	rows := tbl.Rows()
-	total := cellDuration(t, rows[0][3])
+	total := duration(t, tbl, 0, 3)
 	if total <= 0 || total > 100*time.Microsecond {
 		t.Errorf("notify e2e = %v, want a few microseconds", total)
 	}
@@ -188,8 +176,8 @@ func TestE7MultiClientShape(t *testing.T) {
 	}
 	t.Log("\n" + tbl.String())
 	rows := tbl.Rows()
-	first := cellFloat(t, rows[0][1])
-	last := cellFloat(t, rows[len(rows)-1][1])
+	first := value(t, tbl, 0, 1)
+	last := value(t, tbl, len(rows)-1, 1)
 	if last < 4*first {
 		t.Errorf("throughput did not scale with clients: %v -> %v Mops/s", first, last)
 	}
@@ -213,7 +201,7 @@ func TestE8RepairShape(t *testing.T) {
 	if len(rows) != 1 {
 		t.Fatalf("rows = %d, want 1", len(rows))
 	}
-	if mib := cellFloat(t, rows[0][1]); mib < 2 {
+	if mib := value(t, tbl, 0, 1); mib < 2 {
 		t.Errorf("repair-mib = %v, want >= 2 (the replica re-replicated)", mib)
 	}
 	if tbl.Footer == "" {
@@ -228,8 +216,8 @@ func TestA1StripeShape(t *testing.T) {
 	}
 	t.Log("\n" + tbl.String())
 	rows := tbl.Rows()
-	narrow := cellFloat(t, rows[0][1])
-	wide := cellFloat(t, rows[len(rows)-1][1])
+	narrow := value(t, tbl, 0, 1)
+	wide := value(t, tbl, len(rows)-1, 1)
 	// Width-1 is capped by a single server link (~56 Gb/s); width-8
 	// should multiply aggregate bandwidth severalfold.
 	if narrow > 70 {
@@ -246,9 +234,8 @@ func TestA2ReplicationShape(t *testing.T) {
 		t.Fatalf("A2Replication: %v", err)
 	}
 	t.Log("\n" + tbl.String())
-	rows := tbl.Rows()
-	r0 := cellDuration(t, rows[0][1])
-	r2 := cellDuration(t, rows[2][1])
+	r0 := duration(t, tbl, 0, 1)
+	r2 := duration(t, tbl, 2, 1)
 	if r2 <= r0 {
 		t.Errorf("replication should cost: r0=%v r2=%v", r0, r2)
 	}
@@ -269,12 +256,12 @@ func TestA4KVStoreShape(t *testing.T) {
 	// one-sided read). Throughput between mixes is noisy on a loaded box
 	// (workers claim virtual-time slots in real execution order), so the
 	// shape check allows the documented run-to-run variance.
-	readOnly := cellFloat(t, rows[0][1])
-	mixed := cellFloat(t, rows[len(rows)-1][1])
+	readOnly := value(t, tbl, 0, 1)
+	mixed := value(t, tbl, len(rows)-1, 1)
 	if readOnly < 0.75*mixed {
 		t.Errorf("read-only %.1f kops/s far slower than 50/50 %.1f", readOnly, mixed)
 	}
-	if p50 := cellFloat(t, rows[0][2]); p50 <= 0 || p50 > 50 {
+	if p50 := value(t, tbl, 0, 2); p50 <= 0 || p50 > 50 {
 		t.Errorf("get p50 = %.2f us, want close-to-hardware", p50)
 	}
 }
@@ -285,9 +272,8 @@ func TestA3QPSharingShape(t *testing.T) {
 		t.Fatalf("A3QPSharing: %v", err)
 	}
 	t.Log("\n" + tbl.String())
-	rows := tbl.Rows()
-	firstConnects := cellFloat(t, rows[0][2])
-	laterConnects := cellFloat(t, rows[1][2])
+	firstConnects := value(t, tbl, 0, 2)
+	laterConnects := value(t, tbl, 1, 2)
 	if firstConnects == 0 {
 		t.Error("first map should establish connections")
 	}
@@ -317,17 +303,15 @@ func TestE10TxnShape(t *testing.T) {
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(rows))
 	}
-	rate := func(row []string) float64 {
-		return cellFloat(t, strings.TrimSuffix(row[4], "%"))
-	}
-	for _, row := range rows {
-		if cellFloat(t, row[2]) < 1 {
+	rate := func(row int) float64 { return value(t, tbl, row, 4) }
+	for r, row := range rows {
+		if value(t, tbl, r, 2) < 1 {
 			t.Errorf("row %v: nothing committed", row)
 		}
 	}
 	// Contention must show: the skewed many-worker corner aborts more
 	// than the single uncontended worker.
-	if lo, hi := rate(rows[0]), rate(rows[len(rows)-1]); hi <= lo {
+	if lo, hi := rate(0), rate(len(rows)-1); hi <= lo {
 		t.Errorf("abort rate flat under contention: uncontended %.1f%% vs contended %.1f%%", lo, hi)
 	}
 	// The design's promise: the transactional envelope costs at most 2x
@@ -358,12 +342,12 @@ func TestE11IndexShape(t *testing.T) {
 	if len(rows) != 6+2*len(E11ScanSizes) {
 		t.Fatalf("rows = %d, want %d", len(rows), 6+2*len(E11ScanSizes))
 	}
-	flatLat, flatReads := cellDuration(t, rows[0][2]), cellFloat(t, rows[0][3])
-	coldReads := cellFloat(t, rows[1][3])
-	warmLat, warmReads := cellDuration(t, rows[2][2]), cellFloat(t, rows[2][3])
-	zipfReads := cellFloat(t, rows[3][3])
-	missPlainReads := cellFloat(t, rows[4][3])
-	missBloomReads := cellFloat(t, rows[5][3])
+	flatLat, flatReads := duration(t, tbl, 0, 2), value(t, tbl, 0, 3)
+	coldReads := value(t, tbl, 1, 3)
+	warmLat, warmReads := duration(t, tbl, 2, 2), value(t, tbl, 2, 3)
+	zipfReads := value(t, tbl, 3, 3)
+	missPlainReads := value(t, tbl, 4, 3)
+	missBloomReads := value(t, tbl, 5, 3)
 
 	// (a) A warm client's point get routes through its cache: at most
 	// the two wire reads of one validated leaf read, and within 1.5x the
@@ -392,9 +376,9 @@ func TestE11IndexShape(t *testing.T) {
 	// (b) A range scan of n keys beats the n point gets it replaces,
 	// from the smallest swept size up, on both latency and wire reads.
 	for i, n := range E11ScanSizes {
-		scanRow, getsRow := rows[6+2*i], rows[7+2*i]
-		scanLat, scanReads := cellDuration(t, scanRow[2]), cellFloat(t, scanRow[3])
-		getsLat, getsReads := cellDuration(t, getsRow[2]), cellFloat(t, getsRow[3])
+		scanRow, getsRow := 6+2*i, 7+2*i
+		scanLat, scanReads := duration(t, tbl, scanRow, 2), value(t, tbl, scanRow, 3)
+		getsLat, getsReads := duration(t, tbl, getsRow, 2), value(t, tbl, getsRow, 3)
 		if scanLat >= getsLat {
 			t.Errorf("scan-%d %v not below %d point gets %v", n, scanLat, n, getsLat)
 		}

@@ -10,6 +10,7 @@ import (
 	"rstore/internal/core"
 	"rstore/internal/proto"
 	"rstore/internal/simnet"
+	"rstore/internal/telemetry"
 	"rstore/internal/txn"
 	"rstore/internal/txn/txntest"
 	"rstore/internal/workload"
@@ -164,7 +165,7 @@ func e10Run(ctx context.Context, workers int, skewName string, theta float64) ([
 	hist := tel.Histogram("txn.commit_latency")
 	p50 := time.Duration(hist.Quantile(0.50))
 	p99 := time.Duration(hist.Quantile(0.99))
-	return []interface{}{workers, skewName, commits, aborts, fmt.Sprintf("%.1f%%", rate*100), p50, p99}, nil
+	return []interface{}{workers, skewName, commits, aborts, telemetry.Percent(rate), p50, p99}, nil
 }
 
 // e10Baseline times the transactional envelope against the raw verbs it

@@ -64,32 +64,32 @@ func E11Index(ctx context.Context) (*metricsTable, error) {
 	if err != nil {
 		return nil, fmt.Errorf("e11 flat gets: %w", err)
 	}
-	tbl.AddRow("get", "flat-hash", flatLat, fmt.Sprintf("%.2f", flatReads))
+	tbl.AddRow("get", "flat-hash", flatLat, flatReads)
 
 	coldLat, coldReads, err := e11TreeGets(ctx, cluster, e11TreeOptions(true, true), false, false)
 	if err != nil {
 		return nil, fmt.Errorf("e11 cold gets: %w", err)
 	}
-	tbl.AddRow("get", "btree-cold", coldLat, fmt.Sprintf("%.2f", coldReads))
+	tbl.AddRow("get", "btree-cold", coldLat, coldReads)
 
 	warm, err := e11Warm(ctx, cluster)
 	if err != nil {
 		return nil, fmt.Errorf("e11 warm: %w", err)
 	}
-	tbl.AddRow("get", "btree-warm", warm.uniLat, fmt.Sprintf("%.2f", warm.uniReads))
-	tbl.AddRow("get-zipf", "btree-warm", warm.zipfLat, fmt.Sprintf("%.2f", warm.zipfReads))
+	tbl.AddRow("get", "btree-warm", warm.uniLat, warm.uniReads)
+	tbl.AddRow("get-zipf", "btree-warm", warm.zipfLat, warm.zipfReads)
 
 	// Negative lookups: blooms on vs off, both with warm caches.
 	missNoBloomLat, missNoBloomReads, err := e11TreeGets(ctx, cluster, e11TreeOptions(false, true), true, true)
 	if err != nil {
 		return nil, fmt.Errorf("e11 miss nobloom: %w", err)
 	}
-	tbl.AddRow("get-miss", "btree-nobloom", missNoBloomLat, fmt.Sprintf("%.2f", missNoBloomReads))
+	tbl.AddRow("get-miss", "btree-nobloom", missNoBloomLat, missNoBloomReads)
 	missBloomLat, missBloomReads, err := e11TreeGets(ctx, cluster, e11TreeOptions(false, false), true, true)
 	if err != nil {
 		return nil, fmt.Errorf("e11 miss bloom: %w", err)
 	}
-	tbl.AddRow("get-miss", "btree-bloom", missBloomLat, fmt.Sprintf("%.2f", missBloomReads))
+	tbl.AddRow("get-miss", "btree-bloom", missBloomLat, missBloomReads)
 
 	// Range scans vs the point-get batches they replace.
 	for _, n := range E11ScanSizes {
@@ -98,8 +98,8 @@ func E11Index(ctx context.Context) (*metricsTable, error) {
 			return nil, fmt.Errorf("e11 scan %d: %w", n, err)
 		}
 		op := fmt.Sprintf("scan-%d", n)
-		tbl.AddRow(op, "btree-range", scan.lat, fmt.Sprintf("%.2f", scan.reads))
-		tbl.AddRow(op, "point-gets", gets.lat, fmt.Sprintf("%.2f", gets.reads))
+		tbl.AddRow(op, "btree-range", scan.lat, scan.reads)
+		tbl.AddRow(op, "point-gets", gets.lat, gets.reads)
 	}
 
 	bloomCut := 0.0

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"rstore/internal/telemetry"
@@ -14,9 +13,9 @@ import (
 // Metric is one scalar measurement lifted out of an experiment table: the
 // column header names the metric, the row's first cell names the
 // configuration it was measured under (transfer size, machine count, ...).
-// Time-valued cells are normalized to nanoseconds so a run whose latency
-// drifts across a rendering boundary (999us -> 1.00ms) still compares
-// against older reports.
+// Time-valued cells are in nanoseconds, so a run whose latency drifts
+// across a rendering boundary (999us -> 1.00ms) still compares against
+// older reports.
 type Metric struct {
 	Name   string  `json:"name"`
 	Value  float64 `json:"value"`
@@ -33,61 +32,22 @@ type Report struct {
 	Metrics    []Metric `json:"metrics"`
 }
 
-// NewReport extracts every numeric cell of tbl into a Report. Cells are
-// rendered strings ("1.27us", "705.23", "8x"): a leading float is the
-// value and the remaining suffix is the unit; cells with no leading
-// number (labels, "-") are skipped. The first column is treated as the
-// row's configuration label, not a metric.
+// NewReport lifts every numeric cell of tbl into a Report, reading the
+// typed value the experiment handed to AddRow (telemetry.Table.Value), not
+// the rendered text. Labels are skipped, and the first column is the row's
+// configuration label, never a metric.
 func NewReport(id string, tbl *telemetry.Table) *Report {
 	rep := &Report{Experiment: id, Title: tbl.Title}
-	headers := tbl.Headers
-	for _, row := range tbl.Rows() {
-		config := ""
-		if len(row) > 0 {
-			config = row[0]
-		}
-		for i := 1; i < len(row) && i < len(headers); i++ {
-			v, unit, ok := parseCell(row[i])
-			if !ok {
-				continue
+	for r, row := range tbl.Rows() {
+		for c := 1; c < len(row) && c < len(tbl.Headers); c++ {
+			if v, unit, ok := tbl.Value(r, c); ok {
+				rep.Metrics = append(rep.Metrics, Metric{
+					Name: tbl.Headers[c], Value: v, Unit: unit, Config: row[0],
+				})
 			}
-			rep.Metrics = append(rep.Metrics, Metric{
-				Name: headers[i], Value: v, Unit: unit, Config: config,
-			})
 		}
 	}
 	return rep
-}
-
-// parseCell splits a rendered cell into a leading float and a unit
-// suffix, normalizing time units to nanoseconds.
-func parseCell(s string) (float64, string, bool) {
-	s = strings.TrimSpace(s)
-	end := 0
-	for end < len(s) {
-		c := s[end]
-		if c >= '0' && c <= '9' || c == '.' || c == '-' || c == '+' || c == 'e' && end > 0 {
-			end++
-			continue
-		}
-		break
-	}
-	v, err := strconv.ParseFloat(s[:end], 64)
-	if err != nil {
-		return 0, "", false
-	}
-	unit := strings.TrimSpace(s[end:])
-	switch unit {
-	case "ns":
-		return v, "ns", true
-	case "us":
-		return v * 1e3, "ns", true
-	case "ms":
-		return v * 1e6, "ns", true
-	case "s":
-		return v * 1e9, "ns", true
-	}
-	return v, unit, true
 }
 
 // Write marshals the report to dir/BENCH_<ID>.json (BENCH_E1.json,

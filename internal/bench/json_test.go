@@ -11,20 +11,21 @@ import (
 
 func TestNewReportExtractsNumericCells(t *testing.T) {
 	tbl := telemetry.NewTable("demo", "size", "latency", "gbps", "speedup", "note")
-	tbl.AddRow("128KiB", 1270*time.Nanosecond, 705.23, "8x", "ok")
-	tbl.AddRow("1MiB", 2*time.Millisecond, 12.5, "-", "n/a")
+	tbl.AddRow("128KiB", 1270*time.Nanosecond, 705.23, 8, "ok")
+	tbl.AddRow("1MiB", 2*time.Millisecond, 12.5, "9x", "n/a")
 	rep := NewReport("e1", tbl)
 
 	if rep.Experiment != "e1" || rep.Title != "demo" {
 		t.Fatalf("header = %q/%q", rep.Experiment, rep.Title)
 	}
-	// Row 1: latency (1.27us -> ns), gbps (bare float), speedup ("8x");
-	// row 2: latency (2.00ms -> ns), gbps. "ok"/"n/a"/"-" are skipped and
-	// the first column is config, never a metric.
+	// Row 1: latency (in ns), gbps (bare float), speedup (an int); row 2:
+	// latency, gbps. Strings are labels even when they start with a digit
+	// ("9x") — nothing is parsed back out of rendered text — and the first
+	// column is config, never a metric.
 	want := []Metric{
 		{Name: "latency", Value: 1270, Unit: "ns", Config: "128KiB"},
 		{Name: "gbps", Value: 705.23, Config: "128KiB"},
-		{Name: "speedup", Value: 8, Unit: "x", Config: "128KiB"},
+		{Name: "speedup", Value: 8, Config: "128KiB"},
 		{Name: "latency", Value: 2e6, Unit: "ns", Config: "1MiB"},
 		{Name: "gbps", Value: 12.5, Config: "1MiB"},
 	}

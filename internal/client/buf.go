@@ -58,32 +58,3 @@ func (c *Client) releaseStaging(b *Buf) {
 	default:
 	}
 }
-
-// acquireAtomicStaging returns a staging buffer for an atomic's result
-// word, preferring the shared pool but never blocking on it. Atomics fan
-// out: one caller may hold several pending atomics at once (the
-// transaction layer posts a lock CAS per write-set cell before waiting
-// any), so concurrent callers each holding part of a fixed pool while
-// waiting for the rest would deadlock. The fallback registers a
-// transient word; release it with releaseAtomicStaging(pooled=false).
-func (c *Client) acquireAtomicStaging() (b *Buf, pooled bool, err error) {
-	select {
-	case b := <-c.staging:
-		return b, true, nil
-	default:
-	}
-	mr, err := c.pd.RegisterMemory(make([]byte, 8), rdma.AccessLocalWrite)
-	if err != nil {
-		return nil, false, fmt.Errorf("client: atomic staging: %w", err)
-	}
-	c.chargeRegister(8)
-	return &Buf{mr: mr}, false, nil
-}
-
-func (c *Client) releaseAtomicStaging(b *Buf, pooled bool) {
-	if pooled {
-		c.releaseStaging(b)
-		return
-	}
-	b.Release()
-}

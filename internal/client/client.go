@@ -143,9 +143,10 @@ func (s ControlStats) Sub(o ControlStats) ControlStats {
 // clientCounters holds the client's telemetry handles, resolved once at
 // Connect so the data path never touches the registry's lock.
 type clientCounters struct {
-	reads      *telemetry.Counter // completed read operations
-	writes     *telemetry.Counter // completed write operations
-	atomics    *telemetry.Counter // completed fetch-add / compare-swap ops
+	// ops and lat are the completed-operation counter and modeled-latency
+	// histogram of each operation kind, named by kindNames.
+	ops        [len(kindNames)]*telemetry.Counter
+	lat        [len(kindNames)]*telemetry.Histogram
 	ioFailures *telemetry.Counter // data-path operations that returned an error
 	remaps     *telemetry.Counter // Remap recovery attempts
 	retries    *telemetry.Counter // control-plane retry attempts (after backoff)
@@ -155,10 +156,6 @@ type clientCounters struct {
 	readFailovers  *telemetry.Counter // reads served by a replica after the primary failed
 	staleRemaps    *telemetry.Counter // remaps that discovered a bumped generation
 	slowOps        *telemetry.Counter // ops the flight recorder promoted (slow or failed)
-
-	readLat   *telemetry.Histogram // modeled read latency
-	writeLat  *telemetry.Histogram // modeled write latency
-	atomicLat *telemetry.Histogram // modeled atomic latency
 }
 
 // Client is an RStore client endpoint on one fabric node.
@@ -245,9 +242,6 @@ func Connect(ctx context.Context, dev *rdma.Device, cfg Config) (*Client, error)
 		pd:    pd,
 		retry: newRetrier(cfg.Retry),
 		ctr: clientCounters{
-			reads:      tel.Counter("client.reads"),
-			writes:     tel.Counter("client.writes"),
-			atomics:    tel.Counter("client.atomics"),
 			ioFailures: tel.Counter("client.io_failures"),
 			remaps:     tel.Counter("client.remaps"),
 			retries:    tel.Counter("client.retries"),
@@ -257,10 +251,6 @@ func Connect(ctx context.Context, dev *rdma.Device, cfg Config) (*Client, error)
 			readFailovers:  tel.Counter("client.read_failovers"),
 			staleRemaps:    tel.Counter("client.stale_generation_remaps"),
 			slowOps:        tel.Counter("client.slow_ops"),
-
-			readLat:   tel.Histogram("client.read_latency"),
-			writeLat:  tel.Histogram("client.write_latency"),
-			atomicLat: tel.Histogram("client.atomic_latency"),
 		},
 		tracer:  tel.Tracer(),
 		conns:   make(map[simnet.NodeID]*serverConn),
@@ -268,6 +258,9 @@ func Connect(ctx context.Context, dev *rdma.Device, cfg Config) (*Client, error)
 		notify:  make(map[simnet.NodeID]*notifyConn),
 		regions: make(map[proto.RegionID][]*Region),
 		staging: make(chan *Buf, cfg.StagingCount),
+	}
+	for k, n := range kindNames {
+		c.ctr.ops[k], c.ctr.lat[k] = tel.Counter(n.counter), tel.Histogram(n.latency)
 	}
 	c.retry.onRetry = c.ctr.retries.Inc
 	c.preferred = cfg.masters()[0]
@@ -334,16 +327,17 @@ const (
 	opAtomic
 )
 
-func (k opKind) spanName() string {
-	switch k {
-	case opRead:
-		return "client.read"
-	case opWrite:
-		return "client.write"
-	default:
-		return "client.atomic"
-	}
+// opNames are an operation kind's spellings: the verb in error messages,
+// the envelope span, the per-fragment span, and its outcome metrics.
+type opNames struct{ verb, span, io, counter, latency string }
+
+var kindNames = [...]opNames{
+	opRead:   {"read", "client.read", "io.read", "client.reads", "client.read_latency"},
+	opWrite:  {"write", "client.write", "io.write", "client.writes", "client.write_latency"},
+	opAtomic: {"atomic", "client.atomic", "io.atomic", "client.atomics", "client.atomic_latency"},
 }
+
+func (k opKind) names() *opNames { return &kindNames[k] }
 
 // recordOp folds one completed data-path operation into the client's
 // telemetry: an outcome counter, the per-kind latency histogram, and — when
@@ -357,42 +351,27 @@ func (c *Client) recordOp(kind opKind, ot opTrace, st IOStat, err error, frags [
 	if failed {
 		c.ctr.ioFailures.Inc()
 	} else {
-		lat := st.Latency().Duration()
-		switch kind {
-		case opRead:
-			c.ctr.reads.Inc()
-			c.ctr.readLat.Record(lat)
-		case opWrite:
-			c.ctr.writes.Inc()
-			c.ctr.writeLat.Record(lat)
-		case opAtomic:
-			c.ctr.atomics.Inc()
-			c.ctr.atomicLat.Record(lat)
-		}
+		c.ctr.ops[kind].Inc()
+		c.ctr.lat[kind].Record(st.Latency().Duration())
 	}
 	if ot.id == 0 {
 		return
 	}
 	env := telemetry.Span{
 		Trace: ot.id, ID: ot.span, Parent: ot.parent,
-		Name: kind.spanName(), StartV: st.PostedV, EndV: st.DoneV,
+		Name: kind.names().span, StartV: st.PostedV, EndV: st.DoneV,
 	}
 	if failed {
 		env.Err = err.Error()
 	}
 	thr := c.tracer.SlowOpThreshold()
 	slow := thr > 0 && (failed || st.Latency().Duration() >= thr)
-	if ot.provisional {
-		if slow {
-			c.ctr.slowOps.Inc()
-			c.tracer.Pin(append(frags, env))
+	if !ot.provisional {
+		for _, s := range frags {
+			c.tracer.Record(s)
 		}
-		return
+		c.tracer.Record(env)
 	}
-	for _, s := range frags {
-		c.tracer.Record(s)
-	}
-	c.tracer.Record(env)
 	if slow {
 		c.ctr.slowOps.Inc()
 		c.tracer.Pin(append(frags, env))
@@ -673,22 +652,30 @@ func (c *Client) Alloc(ctx context.Context, name string, size uint64, opts Alloc
 // and establishes one-sided connections to every server it touches. After
 // Map returns, data-path operations need no further setup.
 func (c *Client) Map(ctx context.Context, name string) (*Region, error) {
-	var e rpc.Encoder
-	e.String(name)
-	resp, err := c.call(ctx, proto.MtMap, e.Bytes())
+	info, lease, err := c.fetchLayout(ctx, proto.MtMap, name)
 	if err != nil {
 		return nil, fmt.Errorf("map %q: %w", name, err)
+	}
+	return newRegion(c, info, lease), nil
+}
+
+// fetchLayout asks the master for the named region's layout and lease term
+// (MtMap counts a mapping, MtRemap does not) and connects to every server
+// the layout touches.
+func (c *Client) fetchLayout(ctx context.Context, mt uint16, name string) (*proto.RegionInfo, uint64, error) {
+	var e rpc.Encoder
+	e.String(name)
+	resp, err := c.call(ctx, mt, e.Bytes())
+	if err != nil {
+		return nil, 0, err
 	}
 	d := rpc.NewDecoder(resp)
 	info := proto.DecodeRegionInfo(d)
 	lease := decodeLease(d)
-	if derr := d.Err(); derr != nil {
-		return nil, fmt.Errorf("map %q: %w", name, derr)
+	if err := d.Err(); err != nil {
+		return nil, 0, err
 	}
-	if err := c.connectRegion(ctx, info); err != nil {
-		return nil, fmt.Errorf("map %q: %w", name, err)
-	}
-	return newRegion(c, info, lease), nil
+	return info, lease, c.connectRegion(ctx, info)
 }
 
 // decodeLease reads the layout-lease term (virtual nanoseconds) a map or
@@ -737,15 +724,12 @@ func (c *Client) connectRegion(ctx context.Context, info *proto.RegionInfo) erro
 		seen[node] = true
 		si, known := alive[node]
 		if known {
-			c.refreshConn(node, si.Epoch)
-			if !si.Alive {
-				// The verdict can be stale in both directions (a starved
-				// heartbeat marks a healthy server dead for a beat or two),
-				// so it is advisory: drop the cached connection and probe
-				// with a fresh dial. Only a server that is declared dead AND
-				// unreachable makes the region lost.
-				c.dropConn(node)
-			}
+			// The dead verdict can be stale in both directions (a starved
+			// heartbeat marks a healthy server dead for a beat or two), so
+			// it is advisory: drop the cached connection and probe with a
+			// fresh dial. Only a server that is declared dead AND
+			// unreachable makes the region lost.
+			c.refreshConn(node, si.Epoch, !si.Alive)
 		}
 		if _, err := c.serverConn(ctx, node); err != nil {
 			failed[node] = err
@@ -782,25 +766,14 @@ func (c *Client) connectRegion(ctx context.Context, info *proto.RegionInfo) erro
 	return nil
 }
 
-// dropConn closes and forgets the cached connection to node so the next
-// serverConn call dials fresh.
-func (c *Client) dropConn(node simnet.NodeID) {
-	c.mu.Lock()
-	sc := c.conns[node]
-	delete(c.conns, node)
-	c.mu.Unlock()
-	if sc != nil {
-		sc.close()
-	}
-}
-
-// refreshConn records the server's current epoch and drops any cached
-// connection dialed against an earlier incarnation.
-func (c *Client) refreshConn(node simnet.NodeID, epoch uint64) {
+// refreshConn records the server's current epoch and closes the cached
+// connection to it when that was dialed against an earlier incarnation, or
+// when drop is set, so the next serverConn call dials fresh.
+func (c *Client) refreshConn(node simnet.NodeID, epoch uint64, drop bool) {
 	c.mu.Lock()
 	c.epochs[node] = epoch
-	sc, ok := c.conns[node]
-	if ok && sc.epoch != epoch {
+	sc := c.conns[node]
+	if sc != nil && (drop || sc.epoch != epoch) {
 		delete(c.conns, node)
 	} else {
 		sc = nil
@@ -854,69 +827,53 @@ type RegionSummary struct {
 	MapCount int
 }
 
-// ListRegions returns the master's region table.
-func (c *Client) ListRegions(ctx context.Context) ([]RegionSummary, error) {
-	resp, err := c.call(ctx, proto.MtListRegions, nil)
+// callList runs a body-less master RPC whose response is a counted list and
+// decodes it one element at a time.
+func callList[T any](ctx context.Context, c *Client, what string, mt uint16, decode func(*rpc.Decoder) (T, error)) ([]T, error) {
+	resp, err := c.call(ctx, mt, nil)
 	if err != nil {
-		return nil, fmt.Errorf("list regions: %w", err)
+		return nil, fmt.Errorf("%s: %w", what, err)
 	}
 	d := rpc.NewDecoder(resp)
 	n := d.U32()
-	out := make([]RegionSummary, 0, n)
-	for i := uint32(0); i < n; i++ {
-		out = append(out, RegionSummary{
-			Name:     d.String(),
-			ID:       proto.RegionID(d.U64()),
-			Size:     d.U64(),
-			MapCount: int(d.U32()),
-		})
+	out := make([]T, 0, n)
+	for i := uint32(0); i < n && d.Err() == nil; i++ {
+		v, err := decode(d)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", what, err)
+		}
+		out = append(out, v)
 	}
-	if derr := d.Err(); derr != nil {
-		return nil, fmt.Errorf("list regions: %w", derr)
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("%s: %w", what, err)
 	}
 	return out, nil
 }
 
+// ListRegions returns the master's region table.
+func (c *Client) ListRegions(ctx context.Context) ([]RegionSummary, error) {
+	return callList(ctx, c, "list regions", proto.MtListRegions, func(d *rpc.Decoder) (RegionSummary, error) {
+		return RegionSummary{
+			Name:     d.String(),
+			ID:       proto.RegionID(d.U64()),
+			Size:     d.U64(),
+			MapCount: int(d.U32()),
+		}, nil
+	})
+}
+
 // ClusterInfo reports the master's view of the memory servers.
 func (c *Client) ClusterInfo(ctx context.Context) ([]proto.ServerInfo, error) {
-	resp, err := c.call(ctx, proto.MtClusterInfo, nil)
-	if err != nil {
-		return nil, fmt.Errorf("cluster info: %w", err)
-	}
-	d := rpc.NewDecoder(resp)
-	n := d.U32()
-	out := make([]proto.ServerInfo, 0, n)
-	for i := uint32(0); i < n; i++ {
-		out = append(out, proto.DecodeServerInfo(d))
-	}
-	if derr := d.Err(); derr != nil {
-		return nil, fmt.Errorf("cluster info: %w", derr)
-	}
-	return out, nil
+	return callList(ctx, c, "cluster info", proto.MtClusterInfo, func(d *rpc.Decoder) (proto.ServerInfo, error) {
+		return proto.DecodeServerInfo(d), nil
+	})
 }
 
 // ClusterStats fetches the master's aggregated telemetry: the master's own
 // snapshot plus the latest snapshot each memory server piggybacked on its
 // heartbeat. Freshly booted servers may not appear until their first beat.
 func (c *Client) ClusterStats(ctx context.Context) ([]proto.NodeStats, error) {
-	resp, err := c.call(ctx, proto.MtStats, nil)
-	if err != nil {
-		return nil, fmt.Errorf("cluster stats: %w", err)
-	}
-	d := rpc.NewDecoder(resp)
-	n := d.U32()
-	out := make([]proto.NodeStats, 0, n)
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		ns, err := proto.DecodeNodeStats(d)
-		if err != nil {
-			return nil, fmt.Errorf("cluster stats: %w", err)
-		}
-		out = append(out, ns)
-	}
-	if derr := d.Err(); derr != nil {
-		return nil, fmt.Errorf("cluster stats: %w", derr)
-	}
-	return out, nil
+	return callList(ctx, c, "cluster stats", proto.MtStats, proto.DecodeNodeStats)
 }
 
 // ClusterHealth fetches the primary master's health-engine state: the
@@ -983,20 +940,9 @@ func (c *Client) MasterStatuses(ctx context.Context) []MasterStatus {
 // full metadata plus per-copy health, dirty, under-repair, and placement
 // flags. This is the introspection surface `rstore-cli regions` renders.
 func (c *Client) RegionStatuses(ctx context.Context) ([]proto.RegionStatus, error) {
-	resp, err := c.call(ctx, proto.MtRegionStatus, nil)
-	if err != nil {
-		return nil, fmt.Errorf("region status: %w", err)
-	}
-	d := rpc.NewDecoder(resp)
-	n := d.U32()
-	out := make([]proto.RegionStatus, 0, n)
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		out = append(out, proto.DecodeRegionStatus(d))
-	}
-	if derr := d.Err(); derr != nil {
-		return nil, fmt.Errorf("region status: %w", derr)
-	}
-	return out, nil
+	return callList(ctx, c, "region status", proto.MtRegionStatus, func(d *rpc.Decoder) (proto.RegionStatus, error) {
+		return proto.DecodeRegionStatus(d), nil
+	})
 }
 
 // FetchTrace pulls every buffered span for a trace: the master fans the
@@ -1032,11 +978,7 @@ func (c *Client) reportDegraded(ctx context.Context, name string, copyIdx int) (
 		return 0, err
 	}
 	d := rpc.NewDecoder(resp)
-	gen := d.U64()
-	if derr := d.Err(); derr != nil {
-		return 0, derr
-	}
-	return gen, nil
+	return d.U64(), d.Err()
 }
 
 // serverConn returns (establishing if needed) the one-sided connection to
@@ -1062,7 +1004,14 @@ func (c *Client) serverConn(ctx context.Context, node simnet.NodeID) (*serverCon
 	if err != nil {
 		return nil, err
 	}
-	sc := newServerConn(qp)
+	// The connection's atomic result word is part of its set-up: the
+	// modeled ConnectTime covers it, no separate registration is charged.
+	scratch, err := c.pd.RegisterMemory(make([]byte, 8), rdma.AccessLocalWrite)
+	if err != nil {
+		qp.Close()
+		return nil, err
+	}
+	sc := newServerConn(qp, scratch)
 	c.chargeConnect()
 
 	c.mu.Lock()

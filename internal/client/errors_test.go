@@ -18,6 +18,14 @@ import (
 // last node.
 func testCluster(t *testing.T, servers int) (*simnet.Fabric, *Client) {
 	t.Helper()
+	f, _, cli := testClusterWith(t, servers, master.Config{})
+	return f, cli
+}
+
+// testClusterWith is testCluster with the master's configuration (beyond
+// the heartbeat interval) in the caller's hands, and the master returned.
+func testClusterWith(t *testing.T, servers int, mcfg master.Config) (*simnet.Fabric, *master.Master, *Client) {
+	t.Helper()
 	f := simnet.NewFabric(servers+2, simnet.DefaultParams())
 	n := rdma.NewNetwork(f)
 	ctx := context.Background()
@@ -26,7 +34,8 @@ func testCluster(t *testing.T, servers int) (*simnet.Fabric, *Client) {
 	if err != nil {
 		t.Fatalf("OpenDevice master: %v", err)
 	}
-	m, err := master.Start(md, master.Config{HeartbeatInterval: 20 * time.Millisecond})
+	mcfg.HeartbeatInterval = 20 * time.Millisecond
+	m, err := master.Start(md, mcfg)
 	if err != nil {
 		t.Fatalf("master.Start: %v", err)
 	}
@@ -65,7 +74,7 @@ func testCluster(t *testing.T, servers int) (*simnet.Fabric, *Client) {
 		t.Fatalf("Connect: %v", err)
 	}
 	t.Cleanup(cli.Close)
-	return f, cli
+	return f, m, cli
 }
 
 func TestRegionOutOfRangeAndAtomicStraddle(t *testing.T) {

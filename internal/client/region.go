@@ -4,14 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"rstore/internal/proto"
 	"rstore/internal/rdma"
 	"rstore/internal/rpc"
-	"rstore/internal/telemetry"
 )
 
 // Region is a mapped region: the client-side handle of a named, striped
@@ -34,8 +32,7 @@ type Region struct {
 	leaseTermNs atomic.Int64
 	leaseExpiry atomic.Int64
 
-	mu       sync.Mutex
-	unmapped bool
+	unmapped atomic.Bool
 }
 
 func newRegion(c *Client, info *proto.RegionInfo, leaseNs uint64) *Region {
@@ -121,19 +118,8 @@ func (r *Region) Remap(ctx context.Context) error {
 	}
 	r.c.ctr.remaps.Inc()
 	name := r.Info().Name
-	var e rpc.Encoder
-	e.String(name)
-	resp, err := r.c.call(ctx, proto.MtRemap, e.Bytes())
+	info, lease, err := r.c.fetchLayout(ctx, proto.MtRemap, name)
 	if err != nil {
-		return fmt.Errorf("remap %q: %w", name, err)
-	}
-	d := rpc.NewDecoder(resp)
-	info := proto.DecodeRegionInfo(d)
-	lease := decodeLease(d)
-	if derr := d.Err(); derr != nil {
-		return fmt.Errorf("remap %q: %w", name, derr)
-	}
-	if err := r.c.connectRegion(ctx, info); err != nil {
 		return fmt.Errorf("remap %q: %w", name, err)
 	}
 	r.info.Store(info)
@@ -144,13 +130,9 @@ func (r *Region) Remap(ctx context.Context) error {
 // Unmap detaches from the region (the paper's runmap). Data-path calls
 // fail afterwards; the region itself lives on until Free.
 func (r *Region) Unmap(ctx context.Context) error {
-	r.mu.Lock()
-	if r.unmapped {
-		r.mu.Unlock()
+	if !r.unmapped.CompareAndSwap(false, true) {
 		return nil
 	}
-	r.unmapped = true
-	r.mu.Unlock()
 	r.c.unregisterRegion(r)
 	name := r.Info().Name
 	var e rpc.Encoder
@@ -162,99 +144,181 @@ func (r *Region) Unmap(ctx context.Context) error {
 }
 
 func (r *Region) checkMapped() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.unmapped {
+	if r.unmapped.Load() {
 		return fmt.Errorf("%w: %q", ErrRegionClosed, r.Info().Name)
 	}
 	return nil
 }
 
-// pendingCopy is one copy's share of an in-flight operation. copyIdx uses
-// the master's numbering: 0 is the primary, i>0 is replica i-1.
-type pendingCopy struct {
-	op      *ioOp
-	frags   int
-	copyIdx int
-}
-
-// Pending is an in-flight asynchronous operation. A replicated write
-// carries one future per copy so that a dead replica fails only its own
-// future instead of sinking the whole write; Wait resolves the degraded
-// outcome.
-type Pending struct {
-	c      *Client
-	r      *Region
+// access is one data-path request as its caller stated it. Atomics carry
+// no buffer: their result word is the target connection's scratch.
+type access struct {
 	kind   opKind
-	ot     opTrace
-	copies []pendingCopy
+	opcode rdma.OpCode
+	off    uint64
+	n      int
+	buf    *Buf
+	bufOff int
+	// add is the FETCH_ADD operand; cmp and swap drive CMP_SWAP.
+	add, cmp, swap uint64
 }
 
-// Wait blocks until the operation completes and returns its stats. Both
-// synchronous wrappers funnel through here, so this is where an
-// operation's outcome and latency reach the client's telemetry.
-//
-// For replicated writes Wait implements degraded-mode semantics: the write
-// succeeds as long as at least one complete copy landed. Copies that
-// missed the write are reported to the master in the background
-// (MtReportDegraded) so the repair plane re-syncs them; the caller is not
-// blocked on that report.
-func (p *Pending) Wait(ctx context.Context) (IOStat, error) {
-	if len(p.copies) == 1 {
-		pc := p.copies[0]
-		st, err := pc.op.wait(ctx, pc.frags)
-		if p.c != nil {
-			p.c.recordOp(p.kind, p.ot, st, err, pc.op.takeSpans())
-		}
-		return st, err
+func transfer(kind opKind, opcode rdma.OpCode, off uint64, buf *Buf, bufOff, n int) access {
+	return access{kind: kind, opcode: opcode, off: off, n: n, buf: buf, bufOff: bufOff}
+}
+
+func atomicOp(opcode rdma.OpCode, off, add, cmp, swap uint64) access {
+	return access{kind: opAtomic, opcode: opcode, off: off, n: 8, add: add, cmp: cmp, swap: swap}
+}
+
+// plan resolves an access against one layout snapshot into the per-copy
+// fragment lists the operation will post — the only place the data path
+// translates offsets. A read takes one copy, the one named by first (0 is
+// the primary; failover asks for the next); a write takes every copy,
+// resolved before anything is issued so a bad range cannot leave a partial
+// write in flight; an atomic takes the primary copy's word, which must sit
+// inside one stripe unit.
+func plan(info *proto.RegionInfo, a access, first int) ([]opCopy, error) {
+	last := first
+	if a.kind == opWrite {
+		last = len(info.Replicas)
 	}
-	var (
-		merged   IOStat
-		firstErr error
-		ok       int
-		failed   []int
-		spans    []telemetry.Span
-	)
-	for _, pc := range p.copies {
-		st, err := pc.op.wait(ctx, pc.frags)
-		// Fragment spans from failed copies are kept: a degraded write's
-		// trace should show which copy's io missed.
-		spans = append(spans, pc.op.takeSpans()...)
+	copies := make([]opCopy, 0, last-first+1)
+	for ci := first; ci <= last; ci++ {
+		var (
+			frags []proto.Fragment
+			err   error
+		)
+		if ci == 0 {
+			frags, err = info.Fragments(a.off, a.n)
+		} else if frags, err = info.ReplicaFragments(ci-1, a.off, a.n); err != nil {
+			err = fmt.Errorf("replica %d: %w", ci-1, err)
+		}
 		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			failed = append(failed, pc.copyIdx)
-			continue
+			return nil, err
 		}
-		merged.Fragments += st.Fragments
-		if ok == 0 || st.PostedV < merged.PostedV {
-			merged.PostedV = st.PostedV
+		if a.kind == opAtomic && len(frags) != 1 {
+			return nil, fmt.Errorf("%w: atomic at %d straddles a stripe boundary", proto.ErrBadRange, a.off)
 		}
-		if st.DoneV > merged.DoneV {
-			merged.DoneV = st.DoneV
-		}
-		ok++
+		copies = append(copies, opCopy{idx: ci, frags: frags})
 	}
-	if ok == 0 {
-		p.c.recordOp(p.kind, p.ot, IOStat{}, firstErr, spans)
-		return IOStat{}, firstErr
-	}
-	if len(failed) > 0 {
-		p.c.ctr.degradedWrites.Inc()
-		p.r.reportDegradedAsync(failed)
-	}
-	p.c.recordOp(p.kind, p.ot, merged, nil, spans)
-	return merged, nil
+	return copies, nil
 }
 
-// reportDegradedAsync tells the master which copies missed a write so the
-// repair plane marks them dirty and re-syncs them. Runs in the background:
-// degraded writes must not pay a master round-trip on the data path. A
-// response generation ahead of the local snapshot marks the handle stale
-// so the next operation picks up the repaired layout.
-func (r *Region) reportDegradedAsync(copies []int) {
-	info := r.Info()
+// Pending is an in-flight asynchronous operation: one future over every
+// fragment of every copy the operation touches. A replicated write tracks
+// each copy's outcome separately, so a dead replica fails only its own copy
+// instead of sinking the whole write; Wait resolves the degraded outcome.
+type Pending struct {
+	ioOp
+	r    *Region
+	info *proto.RegionInfo // the layout the operation was planned against
+}
+
+// AtomicPending is an in-flight asynchronous atomic: the same future, over
+// the one word it targets, whose Wait also returns the word's prior value.
+type AtomicPending Pending
+
+// start plans the access, stamps the operation with the client's virtual
+// time, and posts one one-sided work request per fragment of every planned
+// copy. A copy whose connection or post fails is failed in the future
+// (ErrIOFailed) and the rest of it is not posted; the other copies still go
+// out. The data path never retries a transport op.
+//
+// A fresh operation (prev == nil) runs against the current layout, remapped
+// first if an invalidation push or an expired lease asks for it. A failover
+// read passes the attempt that failed: it reads the next copy of the same
+// layout and joins the same trace under its own envelope span.
+func (r *Region) start(ctx context.Context, a access, prev *Pending) (*Pending, error) {
+	p := &Pending{r: r}
+	first := 0
+	if prev == nil {
+		if err := r.checkMapped(); err != nil {
+			return nil, err
+		}
+		r.refreshIfStale(ctx)
+		p.info = r.Info()
+	} else {
+		p.info, first = prev.info, prev.copies[0].idx+1
+	}
+	copies, err := plan(p.info, a, first)
+	if err != nil {
+		return nil, fmt.Errorf("%s %q: %w", a.kind.names().verb, p.info.Name, err)
+	}
+	if prev == nil {
+		p.ot = r.c.startOp(ctx)
+	} else if p.ot = prev.ot; p.ot.id != 0 {
+		p.ot.span = r.c.tracer.NewSpan()
+	}
+	p.tracer = r.c.tracer
+	p.init(a.kind, copies, r.c.VNow(), &r.c.vnow)
+	for ci := range copies {
+		frags := copies[ci].frags
+		for i, f := range frags {
+			sc, err := r.c.serverConn(ctx, f.Server)
+			if err == nil {
+				wr := rdma.SendWR{
+					Op:         a.opcode,
+					Local:      rdma.SGE{MR: sc.scratch, Len: 8},
+					RemoteKey:  f.RKey,
+					RemoteAddr: f.Addr,
+					Add:        a.add,
+					Compare:    a.cmp,
+					Swap:       a.swap,
+					StartV:     p.startV,
+				}
+				if a.buf != nil {
+					wr.Local = rdma.SGE{MR: a.buf.mr, Offset: uint64(a.bufOff + f.BufOff), Len: f.Len}
+				}
+				err = sc.post(wr, &p.ioOp, ci)
+			}
+			if err != nil {
+				p.failCopy(ci, fmt.Errorf("%w: %v", ErrIOFailed, err), len(frags)-i)
+				break
+			}
+		}
+	}
+	return p, nil
+}
+
+// Wait blocks until the operation completes and returns its stats. Every
+// data-path operation, synchronous or not, resolves here, so this is where
+// its outcome and latency reach the client's telemetry.
+//
+// The operation succeeds as long as at least one complete copy landed. For
+// a replicated write that is degraded mode: copies that missed the write
+// are reported to the master in the background (MtReportDegraded) for the
+// repair plane to re-sync. A ctx that expires first returns the ctx error
+// (wrapped with ErrIOFailed), counts one failed op and reports no copy.
+func (p *Pending) Wait(ctx context.Context) (IOStat, error) {
+	st, failed, err := p.wait(ctx)
+	// Fragment spans from failed copies are kept: a degraded write's trace
+	// should show which copy's io missed.
+	p.r.c.recordOp(p.kind, p.ot, st, err, p.takeSpans())
+	if len(failed) > 0 {
+		p.r.c.ctr.degradedWrites.Inc()
+		p.r.reportDegradedAsync(p.info, failed)
+	}
+	return st, err
+}
+
+// Wait blocks until the atomic completes and returns the prior value of
+// the word.
+func (p *AtomicPending) Wait(ctx context.Context) (uint64, IOStat, error) {
+	st, err := (*Pending)(p).Wait(ctx)
+	if err != nil {
+		return 0, IOStat{}, err
+	}
+	return p.old, st, nil // done is closed: no completion can still write old
+}
+
+// reportDegradedAsync tells the master which copies of the layout the write
+// was planned against missed it, so the repair plane marks them dirty and
+// re-syncs them. Runs in the background: degraded writes must not pay a
+// master round-trip on the data path. A response generation ahead of that
+// layout marks the handle stale so the next operation picks up the repaired
+// one.
+func (r *Region) reportDegradedAsync(info *proto.RegionInfo, copies []int) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -270,73 +334,88 @@ func (r *Region) reportDegradedAsync(copies []int) {
 	}()
 }
 
-// issue posts one one-sided op per fragment against the shared futures.
-// Every fragment is timestamped with the operation's start (the client's
-// virtual clock), so per-QP cursors cannot leak earlier times into the
-// operation's latency.
-func (r *Region) issue(ctx context.Context, opcode rdma.OpCode, frags []proto.Fragment, buf *Buf, bufOff int, op *ioOp) {
-	for i, f := range frags {
-		sc, err := r.c.serverConn(ctx, f.Server)
+// transportFailure reports whether err is the one error class the data path
+// recovers from: a one-sided access that failed on the wire (ErrIOFailed)
+// while the caller's ctx is still live. Everything else is terminal — an
+// unmapped region or a bad range fails the same way on any copy and any
+// layout, and an expired ctx, although it surfaces wrapped in ErrIOFailed,
+// leaves no time to try anything else.
+func transportFailure(ctx context.Context, err error) bool {
+	return ctx.Err() == nil && errors.Is(err, ErrIOFailed)
+}
+
+// attempt runs the access once against the current layout. Writes go to
+// every copy and atomics to the primary word, so they are one start and one
+// wait; a read whose copy fails on the wire fails over to the next copy in
+// copy order, through the same start and wait.
+func (r *Region) attempt(ctx context.Context, a access) (uint64, IOStat, error) {
+	var (
+		prev     *Pending
+		firstErr error
+	)
+	for {
+		p, err := r.start(ctx, a, prev)
 		if err != nil {
-			op.fail(fmt.Errorf("%w: %v", ErrIOFailed, err), len(frags)-i)
-			return
+			return 0, IOStat{}, err
 		}
-		wr := rdma.SendWR{
-			Op:         opcode,
-			Local:      rdma.SGE{MR: buf.mr, Offset: uint64(bufOff + f.BufOff), Len: f.Len},
-			RemoteKey:  f.RKey,
-			RemoteAddr: f.Addr,
-			StartV:     op.startV,
+		st, err := p.Wait(ctx)
+		if err == nil {
+			if prev != nil {
+				r.c.ctr.readFailovers.Inc()
+			}
+			return p.old, st, nil
 		}
-		if err := sc.post(wr, op); err != nil {
-			op.fail(fmt.Errorf("%w: %v", ErrIOFailed, err), len(frags)-i)
-			return
+		replicas := len(p.info.Replicas)
+		if !transportFailure(ctx, err) || a.kind != opRead || replicas == 0 {
+			return 0, IOStat{}, err
 		}
+		if prev == nil {
+			firstErr = err
+		}
+		if p.copies[0].idx == replicas {
+			return 0, IOStat{}, fmt.Errorf("read %q: all copies failed: %w", p.info.Name, firstErr)
+		}
+		prev = p
 	}
 }
 
-// newOp creates a future stamped at the client's current virtual time.
-func (r *Region) newOp(fragments int) *ioOp {
-	return newIOOp(fragments, r.c.VNow(), r.c.advanceVNow)
+// do is the data path's one recovery step, shared by ReadAt, WriteAt,
+// FetchAdd and CompareSwap: attempt; if that failed on the wire, ask the
+// master whether the repair plane has replaced the layout
+// (remapFreshGeneration); if so, attempt exactly once more against the
+// fresh layout, and wrap a second failure in ErrStaleGeneration. Terminal
+// errors (see transportFailure) return as they are.
+func (r *Region) do(ctx context.Context, a access) (uint64, IOStat, error) {
+	old, st, err := r.attempt(ctx, a)
+	if !transportFailure(ctx, err) || !r.remapFreshGeneration(ctx) {
+		return old, st, err
+	}
+	old, st, rerr := r.attempt(ctx, a)
+	if rerr != nil {
+		return 0, IOStat{}, fmt.Errorf("%w: %v (after %v)", ErrStaleGeneration, rerr, err)
+	}
+	return old, st, nil
+}
+
+// remapFreshGeneration checks whether a failed one-sided access can be
+// explained by a repair-plane layout change: it remaps and reports whether
+// the region's generation advanced past the snapshot the failed operation
+// used. True means the caller should retry once against the fresh layout.
+func (r *Region) remapFreshGeneration(ctx context.Context) bool {
+	gen := r.Info().Generation
+	if r.Remap(ctx) != nil || r.Info().Generation == gen {
+		return false
+	}
+	r.c.ctr.staleRemaps.Inc()
+	return true
 }
 
 // StartWriteAt begins an asynchronous write of buf[bufOff:bufOff+n] into
 // the region at off. With replicas configured, the write goes to every
-// copy (write-through), each copy on its own future so a dead replica
-// degrades the write instead of failing it (see Pending.Wait).
+// copy (write-through); a dead replica degrades the write instead of
+// failing it (see Pending.Wait).
 func (r *Region) StartWriteAt(ctx context.Context, off uint64, buf *Buf, bufOff, n int) (*Pending, error) {
-	if err := r.checkMapped(); err != nil {
-		return nil, err
-	}
-	r.refreshIfStale(ctx)
-	info := r.Info()
-	frags, err := info.Fragments(off, n)
-	if err != nil {
-		return nil, fmt.Errorf("write %q: %w", info.Name, err)
-	}
-	// Resolve every copy's fragments before issuing anything so a bad
-	// range cannot leave a partial write in flight.
-	repFrags := make([][]proto.Fragment, len(info.Replicas))
-	for i := range info.Replicas {
-		rf, err := info.ReplicaFragments(i, off, n)
-		if err != nil {
-			return nil, fmt.Errorf("write %q replica %d: %w", info.Name, i, err)
-		}
-		repFrags[i] = rf
-	}
-	ot := r.c.startOp(ctx)
-	p := &Pending{c: r.c, r: r, kind: opWrite, ot: ot}
-	op := r.newOp(len(frags))
-	op.setTrace(ot.id, ot.span, "io.write", r.c.tracer.NewSpan)
-	r.issue(ctx, rdma.OpWrite, frags, buf, bufOff, op)
-	p.copies = append(p.copies, pendingCopy{op: op, frags: len(frags), copyIdx: 0})
-	for i, rf := range repFrags {
-		rop := r.newOp(len(rf))
-		rop.setTrace(ot.id, ot.span, "io.write", r.c.tracer.NewSpan)
-		r.issue(ctx, rdma.OpWrite, rf, buf, bufOff, rop)
-		p.copies = append(p.copies, pendingCopy{op: rop, frags: len(rf), copyIdx: i + 1})
-	}
-	return p, nil
+	return r.start(ctx, transfer(opWrite, rdma.OpWrite, off, buf, bufOff, n), nil)
 }
 
 // WriteAt writes buf[bufOff:bufOff+n] to the region at off, zero copy.
@@ -344,43 +423,14 @@ func (r *Region) StartWriteAt(ctx context.Context, off uint64, buf *Buf, bufOff,
 // region's generation advanced) is retried once against the fresh layout;
 // if the retry also fails the error wraps ErrStaleGeneration.
 func (r *Region) WriteAt(ctx context.Context, off uint64, buf *Buf, bufOff, n int) (IOStat, error) {
-	p, err := r.StartWriteAt(ctx, off, buf, bufOff, n)
-	if err != nil {
-		return IOStat{}, err
-	}
-	st, werr := p.Wait(ctx)
-	if werr == nil || !r.remapFreshGeneration(ctx, werr) {
-		return st, werr
-	}
-	p, err = r.StartWriteAt(ctx, off, buf, bufOff, n)
-	if err != nil {
-		return IOStat{}, fmt.Errorf("%w: %v (after %v)", ErrStaleGeneration, err, werr)
-	}
-	st, err = p.Wait(ctx)
-	if err != nil {
-		return st, fmt.Errorf("%w: %v (after %v)", ErrStaleGeneration, err, werr)
-	}
-	return st, nil
+	_, st, err := r.do(ctx, transfer(opWrite, rdma.OpWrite, off, buf, bufOff, n))
+	return st, err
 }
 
-// StartReadAt begins an asynchronous read of [off, off+n) into
-// buf[bufOff:].
+// StartReadAt begins an asynchronous read of [off, off+n) of the primary
+// copy into buf[bufOff:].
 func (r *Region) StartReadAt(ctx context.Context, off uint64, buf *Buf, bufOff, n int) (*Pending, error) {
-	if err := r.checkMapped(); err != nil {
-		return nil, err
-	}
-	r.refreshIfStale(ctx)
-	frags, err := r.Info().Fragments(off, n)
-	if err != nil {
-		return nil, fmt.Errorf("read %q: %w", r.Info().Name, err)
-	}
-	ot := r.c.startOp(ctx)
-	op := r.newOp(len(frags))
-	op.setTrace(ot.id, ot.span, "io.read", r.c.tracer.NewSpan)
-	r.issue(ctx, rdma.OpRead, frags, buf, bufOff, op)
-	p := &Pending{c: r.c, r: r, kind: opRead, ot: ot}
-	p.copies = append(p.copies, pendingCopy{op: op, frags: len(frags), copyIdx: 0})
-	return p, nil
+	return r.start(ctx, transfer(opRead, rdma.OpRead, off, buf, bufOff, n), nil)
 }
 
 // ReadAt reads [off, off+n) into buf[bufOff:], zero copy. If the primary
@@ -388,168 +438,56 @@ func (r *Region) StartReadAt(ctx context.Context, off uint64, buf *Buf, bufOff, 
 // replica in turn; if every copy fails against a layout the repair plane
 // has since replaced, the read remaps and retries once.
 func (r *Region) ReadAt(ctx context.Context, off uint64, buf *Buf, bufOff, n int) (IOStat, error) {
-	st, err := r.readAtOnce(ctx, off, buf, bufOff, n)
-	if err == nil || !r.remapFreshGeneration(ctx, err) {
-		return st, err
-	}
-	st, rerr := r.readAtOnce(ctx, off, buf, bufOff, n)
-	if rerr != nil {
-		return st, fmt.Errorf("%w: %v (after %v)", ErrStaleGeneration, rerr, err)
-	}
-	return st, nil
-}
-
-func (r *Region) readAtOnce(ctx context.Context, off uint64, buf *Buf, bufOff, n int) (IOStat, error) {
-	p, err := r.StartReadAt(ctx, off, buf, bufOff, n)
-	if err != nil {
-		return IOStat{}, err
-	}
-	st, err := p.Wait(ctx)
-	info := r.Info()
-	if err == nil || len(info.Replicas) == 0 || errors.Is(err, ErrRegionClosed) {
-		return st, err
-	}
-	for i := range info.Replicas {
-		frags, ferr := info.ReplicaFragments(i, off, n)
-		if ferr != nil {
-			continue
-		}
-		// The failover attempt joins the failed op's trace with its own
-		// envelope span, so the assembled tree shows the failed primary
-		// read followed by the replica read that served the data.
-		fot := p.ot
-		if fot.id != 0 {
-			fot.span = r.c.tracer.NewSpan()
-		}
-		op := r.newOp(len(frags))
-		op.setTrace(fot.id, fot.span, "io.read", r.c.tracer.NewSpan)
-		r.issue(ctx, rdma.OpRead, frags, buf, bufOff, op)
-		if st, rerr := op.wait(ctx, len(frags)); rerr == nil {
-			r.c.ctr.readFailovers.Inc()
-			r.c.recordOp(opRead, fot, st, nil, op.takeSpans())
-			return st, nil
-		}
-	}
-	return IOStat{}, fmt.Errorf("read %q: all copies failed: %w", info.Name, err)
-}
-
-// remapFreshGeneration checks whether a failed one-sided access can be
-// explained by a repair-plane layout change: it remaps and reports whether
-// the region's generation advanced past the snapshot the failed operation
-// used. True means the caller should retry once against the fresh layout.
-func (r *Region) remapFreshGeneration(ctx context.Context, err error) bool {
-	if errors.Is(err, ErrRegionClosed) {
-		return false
-	}
-	gen := r.Info().Generation
-	if rerr := r.Remap(ctx); rerr != nil {
-		return false
-	}
-	if r.Info().Generation == gen {
-		return false
-	}
-	r.c.ctr.staleRemaps.Inc()
-	return true
+	_, st, err := r.do(ctx, transfer(opRead, rdma.OpRead, off, buf, bufOff, n))
+	return st, err
 }
 
 // Write copies p into the region at off via an internal staging buffer.
 // Zero-copy callers should use WriteAt with a registered Buf instead.
 func (r *Region) Write(ctx context.Context, off uint64, p []byte) error {
-	for len(p) > 0 {
-		st := r.c.acquireStaging()
-		n := len(p)
-		if n > st.Len() {
-			n = st.Len()
-		}
-		copy(st.Bytes()[:n], p[:n])
-		_, err := r.WriteAt(ctx, off, st, 0, n)
-		r.c.releaseStaging(st)
-		if err != nil {
-			return err
-		}
-		off += uint64(n)
-		p = p[n:]
-	}
-	return nil
+	return r.staged(ctx, off, p, true)
 }
 
 // Read copies [off, off+len(p)) of the region into p via an internal
 // staging buffer.
 func (r *Region) Read(ctx context.Context, off uint64, p []byte) error {
+	return r.staged(ctx, off, p, false)
+}
+
+// staged moves p through a borrowed staging chunk, one chunk at a time.
+func (r *Region) staged(ctx context.Context, off uint64, p []byte, write bool) error {
 	for len(p) > 0 {
 		st := r.c.acquireStaging()
-		n := len(p)
-		if n > st.Len() {
-			n = st.Len()
+		n := min(len(p), st.Len())
+		var err error
+		if write {
+			copy(st.Bytes(), p[:n])
+			_, err = r.WriteAt(ctx, off, st, 0, n)
+		} else if _, err = r.ReadAt(ctx, off, st, 0, n); err == nil {
+			copy(p, st.Bytes()[:n])
 		}
-		_, err := r.ReadAt(ctx, off, st, 0, n)
+		r.c.releaseStaging(st)
 		if err != nil {
-			r.c.releaseStaging(st)
 			return err
 		}
-		copy(p[:n], st.Bytes()[:n])
-		r.c.releaseStaging(st)
 		off += uint64(n)
 		p = p[n:]
 	}
 	return nil
 }
 
-// atomicFragment resolves the single fragment holding the 8-byte word at
-// off; the word must not straddle a stripe boundary.
-func (r *Region) atomicFragment(off uint64) (proto.Fragment, error) {
-	frags, err := r.Info().Fragments(off, 8)
-	if err != nil {
-		return proto.Fragment{}, err
-	}
-	if len(frags) != 1 {
-		return proto.Fragment{}, fmt.Errorf("%w: atomic at %d straddles a stripe boundary", proto.ErrBadRange, off)
-	}
-	return frags[0], nil
-}
-
 // FetchAdd atomically adds delta to the 8-byte little-endian word at off
 // (primary copy) and returns the prior value. Atomicity holds against all
-// other RStore atomics targeting the same server.
+// other RStore atomics targeting the same server. The word must not
+// straddle a stripe boundary.
 func (r *Region) FetchAdd(ctx context.Context, off uint64, delta uint64) (uint64, IOStat, error) {
-	return r.atomic(ctx, rdma.OpFetchAdd, off, delta, 0, 0)
+	return r.do(ctx, atomicOp(rdma.OpFetchAdd, off, delta, 0, 0))
 }
 
 // CompareSwap atomically replaces the word at off with swap if it equals
 // cmp, returning the prior value.
 func (r *Region) CompareSwap(ctx context.Context, off uint64, cmp, swap uint64) (uint64, IOStat, error) {
-	return r.atomic(ctx, rdma.OpCmpSwap, off, cmp, cmp, swap)
-}
-
-func (r *Region) atomic(ctx context.Context, opcode rdma.OpCode, off uint64, add, cmp, swap uint64) (uint64, IOStat, error) {
-	old, st, err := r.atomicOnce(ctx, opcode, off, add, cmp, swap)
-	if err == nil || !r.remapFreshGeneration(ctx, err) {
-		return old, st, err
-	}
-	old, st, rerr := r.atomicOnce(ctx, opcode, off, add, cmp, swap)
-	if rerr != nil {
-		return old, st, fmt.Errorf("%w: %v (after %v)", ErrStaleGeneration, rerr, err)
-	}
-	return old, st, nil
-}
-
-func (r *Region) atomicOnce(ctx context.Context, opcode rdma.OpCode, off uint64, add, cmp, swap uint64) (uint64, IOStat, error) {
-	p, err := r.startAtomic(ctx, opcode, off, add, cmp, swap)
-	if err != nil {
-		return 0, IOStat{}, err
-	}
-	return p.Wait(ctx)
-}
-
-// AtomicPending is an in-flight asynchronous atomic. Unlike writes, an
-// atomic always targets exactly one word on one server, so there is a
-// single future; Wait returns the word's prior value.
-type AtomicPending struct {
-	c      *Client
-	op     *ioOp
-	ot     opTrace
-	st     *Buf // staging word, released on Wait
-	pooled bool // st belongs to the shared staging pool
+	return r.do(ctx, atomicOp(rdma.OpCmpSwap, off, 0, cmp, swap))
 }
 
 // StartFetchAdd begins an asynchronous FETCH_ADD on the word at off.
@@ -557,62 +495,12 @@ type AtomicPending struct {
 // round-trips — the transaction layer's lock and unlock fan-outs depend
 // on this.
 func (r *Region) StartFetchAdd(ctx context.Context, off uint64, delta uint64) (*AtomicPending, error) {
-	return r.startAtomic(ctx, rdma.OpFetchAdd, off, delta, 0, 0)
+	p, err := r.start(ctx, atomicOp(rdma.OpFetchAdd, off, delta, 0, 0), nil)
+	return (*AtomicPending)(p), err
 }
 
 // StartCompareSwap begins an asynchronous CMP_SWAP on the word at off.
 func (r *Region) StartCompareSwap(ctx context.Context, off uint64, cmp, swap uint64) (*AtomicPending, error) {
-	return r.startAtomic(ctx, rdma.OpCmpSwap, off, cmp, cmp, swap)
-}
-
-func (r *Region) startAtomic(ctx context.Context, opcode rdma.OpCode, off uint64, add, cmp, swap uint64) (*AtomicPending, error) {
-	if err := r.checkMapped(); err != nil {
-		return nil, err
-	}
-	r.refreshIfStale(ctx)
-	frag, err := r.atomicFragment(off)
-	if err != nil {
-		return nil, fmt.Errorf("atomic %q: %w", r.Info().Name, err)
-	}
-	sc, err := r.c.serverConn(ctx, frag.Server)
-	if err != nil {
-		return nil, fmt.Errorf("atomic %q: %w", r.Info().Name, err)
-	}
-	st, pooled, err := r.c.acquireAtomicStaging()
-	if err != nil {
-		return nil, fmt.Errorf("atomic %q: %w", r.Info().Name, err)
-	}
-	ot := r.c.startOp(ctx)
-	op := r.newOp(1)
-	op.setTrace(ot.id, ot.span, "io.atomic", r.c.tracer.NewSpan)
-	wr := rdma.SendWR{
-		Op:         opcode,
-		Local:      rdma.SGE{MR: st.mr, Len: 8},
-		RemoteKey:  frag.RKey,
-		RemoteAddr: frag.Addr,
-		Add:        add,
-		Compare:    cmp,
-		Swap:       swap,
-		StartV:     op.startV,
-	}
-	if err := sc.post(wr, op); err != nil {
-		r.c.releaseAtomicStaging(st, pooled)
-		return nil, fmt.Errorf("atomic %q: %w", r.Info().Name, err)
-	}
-	return &AtomicPending{c: r.c, op: op, ot: ot, st: st, pooled: pooled}, nil
-}
-
-// Wait blocks until the atomic completes and returns the prior value of
-// the word. It must be called exactly once.
-func (p *AtomicPending) Wait(ctx context.Context) (uint64, IOStat, error) {
-	stat, err := p.op.wait(ctx, 1)
-	p.c.recordOp(opAtomic, p.ot, stat, err, p.op.takeSpans())
-	p.c.releaseAtomicStaging(p.st, p.pooled)
-	if err != nil {
-		return 0, IOStat{}, err
-	}
-	p.op.mu.Lock()
-	old := p.op.old
-	p.op.mu.Unlock()
-	return old, stat, nil
+	p, err := r.start(ctx, atomicOp(rdma.OpCmpSwap, off, 0, cmp, swap), nil)
+	return (*AtomicPending)(p), err
 }

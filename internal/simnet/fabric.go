@@ -39,8 +39,11 @@ type Injector interface {
 	Advance(v VTime)
 }
 
-// maxGaps bounds the free-gap list a line remembers. Old gaps beyond the
-// bound are forgotten (conservatively treated as busy).
+// maxGaps bounds the free-gap list a line remembers. Once the list holds
+// this many gaps a newly opened gap is not recorded (its idle time is
+// conservatively treated as busy). Remembered gaps are never evicted: one
+// leaves only when a reservation fills it exactly, and a reservation that
+// lands in the middle of one still splits it in two, bound or no bound.
 const maxGaps = 4096
 
 // gap is a free interval [from, to) behind a line's frontier.

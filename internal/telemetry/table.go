@@ -24,28 +24,59 @@ type Table struct {
 	// Footer, when non-empty, is printed verbatim after the rows — used
 	// by benches to attach e.g. a slowest-op critical-path breakdown.
 	Footer string
-	rows   [][]string
+	rows   [][]cell
 }
+
+// cell is one table entry: the text it renders as and, when AddRow was
+// handed a number, the number itself — so whoever reads a measurement back
+// out of a table (shape tests, JSON reports) never parses rendered text.
+type cell struct {
+	text    string
+	value   float64
+	unit    string // "ns" for durations, "%" for Percent, else ""
+	numeric bool
+}
+
+// Percent is a ratio that renders as a percentage ("12.5%"); its typed
+// value is the percentage, unit "%".
+type Percent float64
 
 // NewTable creates a table with the given title and column headers.
 func NewTable(title string, headers ...string) *Table {
 	return &Table{Title: title, Headers: headers}
 }
 
-// AddRow appends a row; values are rendered with %v.
+// AddRow appends a row. Floats render with two decimals, durations with an
+// adaptive unit, everything else with %v; numbers keep their typed value
+// (see Value), strings and bools are labels.
 func (t *Table) AddRow(cells ...interface{}) {
-	row := make([]string, len(cells))
+	row := make([]cell, len(cells))
 	for i, c := range cells {
 		switch v := c.(type) {
 		case float64:
-			row[i] = fmt.Sprintf("%.2f", v)
+			row[i] = cell{fmt.Sprintf("%.2f", v), v, "", true}
 		case time.Duration:
-			row[i] = fmtDuration(v)
+			row[i] = cell{fmtDuration(v), float64(v.Nanoseconds()), "ns", true}
+		case Percent:
+			row[i] = cell{fmt.Sprintf("%.1f%%", float64(v)*100), float64(v) * 100, "%", true}
+		case int:
+			row[i] = cell{fmt.Sprint(v), float64(v), "", true}
+		case int64:
+			row[i] = cell{fmt.Sprint(v), float64(v), "", true}
+		case uint64:
+			row[i] = cell{fmt.Sprint(v), float64(v), "", true}
 		default:
-			row[i] = fmt.Sprintf("%v", c)
+			row[i] = cell{text: fmt.Sprintf("%v", c)}
 		}
 	}
 	t.rows = append(t.rows, row)
+}
+
+// Value returns the typed value AddRow received for the cell (durations in
+// nanoseconds, unit "ns"); ok is false for labels.
+func (t *Table) Value(row, col int) (v float64, unit string, ok bool) {
+	c := t.rows[row][col]
+	return c.value, c.unit, c.numeric
 }
 
 func fmtDuration(d time.Duration) string {
@@ -69,8 +100,8 @@ func (t *Table) String() string {
 	}
 	for _, row := range t.rows {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if i < len(widths) && len(c.text) > widths[i] {
+				widths[i] = len(c.text)
 			}
 		}
 	}
@@ -93,7 +124,7 @@ func (t *Table) String() string {
 		sep[i] = strings.Repeat("-", widths[i])
 	}
 	writeRow(sep)
-	for _, row := range t.rows {
+	for _, row := range t.Rows() {
 		writeRow(row)
 	}
 	if t.Footer != "" {
@@ -109,7 +140,10 @@ func (t *Table) String() string {
 func (t *Table) Rows() [][]string {
 	out := make([][]string, len(t.rows))
 	for i, r := range t.rows {
-		out[i] = append([]string(nil), r...)
+		out[i] = make([]string, len(r))
+		for j, c := range r {
+			out[i][j] = c.text
+		}
 	}
 	return out
 }

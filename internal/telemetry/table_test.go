@@ -135,6 +135,33 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
+// A cell keeps the number AddRow was handed next to its rendered text, so
+// readers never parse "2.50us" or "54.12" back into a value.
+func TestTableValueIsTyped(t *testing.T) {
+	tb := NewTable("typed", "label", "int", "lat", "gbps", "rate", "flag")
+	tb.AddRow("1MiB", int64(7), 2500*time.Nanosecond, 54.123, Percent(0.125), true)
+	if got := tb.Rows()[0]; got[2] != "2.50us" || got[3] != "54.12" || got[4] != "12.5%" {
+		t.Errorf("rendered row = %q", got)
+	}
+	for col, want := range []struct {
+		v    float64
+		unit string
+		ok   bool
+	}{
+		{0, "", false}, // a string is a label
+		{7, "", true},
+		{2500, "ns", true}, // not the rendered 2.50
+		{54.123, "", true}, // not the rendered 54.12
+		{12.5, "%", true},
+		{0, "", false}, // so is a bool
+	} {
+		v, unit, ok := tb.Value(0, col)
+		if v != want.v || unit != want.unit || ok != want.ok {
+			t.Errorf("Value(0, %d) = %v %q %v, want %v %q %v", col, v, unit, ok, want.v, want.unit, want.ok)
+		}
+	}
+}
+
 func TestTableFooter(t *testing.T) {
 	tb := NewTable("E2", "col")
 	tb.AddRow(1)
