@@ -144,13 +144,17 @@ func (c *Chaos) Fire(v VTime) {
 	}
 	c.mu.Lock()
 	if c.firing {
-		// An event's callback advanced the frontier (e.g. via a transfer);
-		// the outer Fire will pick up anything newly due.
+		// An event's callback, or another goroutine's transfer, advanced the
+		// frontier; the running Fire picks up anything newly due.
 		c.mu.Unlock()
 		return
 	}
 	c.firing = true
 	for {
+		// Re-read the frontier on every pass: an Advance that returned early
+		// above did so under c.mu after lifting it, so whatever became due
+		// while callbacks ran is seen here before firing is cleared.
+		v = maxV(v, c.f.VNow())
 		var due []chaosEvent
 		for len(c.events) > 0 && c.events[0].at <= v {
 			due = append(due, c.events[0])

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -229,5 +230,50 @@ func TestClamp01(t *testing.T) {
 		if got := clamp01(tt.in); got != tt.want {
 			t.Errorf("clamp01(%v) = %v, want %v", tt.in, got, tt.want)
 		}
+	}
+}
+
+// TestChaosEventDueDuringFireIsNotStranded: an event that becomes due while
+// another event's callback runs must fire in the same crossing. The nested
+// Advance returns early (a Fire is already running), so the running Fire
+// has to look at the frontier again instead of at the v it was called with —
+// otherwise a scripted heal waits for some later *successful* transfer, and
+// retries against a dead node never lift the frontier.
+func TestChaosEventDueDuringFireIsNotStranded(t *testing.T) {
+	f := NewFabric(2, testParams())
+	c := NewChaos(f, 3)
+	fired := false
+	c.At(10, func(*Chaos) { f.WaitUntil(30) })
+	c.At(20, func(*Chaos) { fired = true })
+	f.WaitUntil(10)
+	if f.VNow() != 30 {
+		t.Fatalf("frontier = %v, want 30", f.VNow())
+	}
+	if !fired {
+		t.Error("event at 20 did not fire although the frontier reached 30 while the event at 10 ran")
+	}
+}
+
+// TestChaosEventDueDuringConcurrentFireIsNotStranded is the two-goroutine
+// form: the frontier is lifted past the second event by another actor's
+// Advance while the first event's callback is still running.
+func TestChaosEventDueDuringConcurrentFireIsNotStranded(t *testing.T) {
+	f := NewFabric(2, testParams())
+	c := NewChaos(f, 3)
+	running, lifted := make(chan struct{}), make(chan struct{})
+	var fired atomic.Bool
+	c.At(10, func(*Chaos) {
+		close(running)
+		<-lifted
+	})
+	c.At(20, func(*Chaos) { fired.Store(true) })
+	go func() {
+		<-running
+		f.WaitUntil(30) // its Advance finds a Fire in progress and returns
+		close(lifted)
+	}()
+	f.WaitUntil(10)
+	if !fired.Load() {
+		t.Error("event at 20 did not fire although another actor lifted the frontier to 30 during the Fire at 10")
 	}
 }

@@ -3,6 +3,7 @@ package simnet
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,17 +66,24 @@ type line struct {
 	busy     VTime // total occupied virtual time
 	bytes    int64 // total bytes serialized
 	ops      int64
+	dropped  int64 // idle intervals not remembered because gaps was full
 }
 
-// reserve books the line for ser starting at or after start and returns
-// the interval actually occupied.
-func (l *line) reserve(start VTime, ser VTime) (from, to VTime) {
+// reserve books the line for ser starting at or after start, accounts n
+// payload bytes to it, and returns the interval actually occupied.
+func (l *line) reserve(start, ser VTime, n int) (from, to VTime) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.busy += ser
+	l.bytes += int64(n)
 	l.ops++
-	// First fit into a remembered gap.
-	for i := range l.gaps {
+	// First fit into a remembered gap. The list is sorted and disjoint, so
+	// no gap that ends before start can fit and binary search skips them all
+	// (one ending exactly at start still takes a zero-length reservation).
+	// In steady state start sits near the frontier and almost nothing is
+	// left to walk.
+	first := sort.Search(len(l.gaps), func(i int) bool { return l.gaps[i].to >= start })
+	for i := first; i < len(l.gaps); i++ {
 		g := l.gaps[i]
 		s := maxV(g.from, start)
 		if s+ser <= g.to {
@@ -96,18 +104,24 @@ func (l *line) reserve(start VTime, ser VTime) (from, to VTime) {
 		}
 	}
 	from = maxV(start, l.nextFree)
-	if from > l.nextFree && len(l.gaps) < maxGaps {
-		l.gaps = append(l.gaps, gap{l.nextFree, from})
+	if from > l.nextFree {
+		if len(l.gaps) < maxGaps {
+			l.gaps = append(l.gaps, gap{l.nextFree, from})
+		} else {
+			l.dropped++
+		}
 	}
 	to = from + ser
 	l.nextFree = to
 	return from, to
 }
 
-func (l *line) addBytes(n int) {
+// stats snapshots the line's accounting.
+func (l *line) stats() LinkStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.bytes += int64(n)
+	return LinkStats{Bytes: l.bytes, Busy: l.busy, Ops: l.ops, HighWater: l.nextFree,
+		Gaps: len(l.gaps), GapsDropped: l.dropped}
 }
 
 // node is the fabric's view of a machine: link state plus liveness.
@@ -116,9 +130,7 @@ type node struct {
 	name    string
 	egress  line
 	ingress line
-
-	mu sync.Mutex
-	up bool
+	up      bool // guarded by Fabric.mu
 }
 
 // Fabric is a simulated cluster: a set of nodes joined through one switch.
@@ -213,9 +225,8 @@ func (f *Fabric) AddNode() NodeID {
 	return id
 }
 
-func (f *Fabric) node(id NodeID) (*node, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+// nodeLocked looks a node up; the caller holds f.mu.
+func (f *Fabric) nodeLocked(id NodeID) (*node, error) {
 	if id < 0 || int(id) >= len(f.nodes) {
 		return nil, fmt.Errorf("%w: %v", ErrUnknownNode, id)
 	}
@@ -225,25 +236,22 @@ func (f *Fabric) node(id NodeID) (*node, error) {
 // SetNodeUp marks a node alive or dead. Transfers involving a dead node
 // fail with ErrNodeDown.
 func (f *Fabric) SetNodeUp(id NodeID, up bool) error {
-	n, err := f.node(id)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n, err := f.nodeLocked(id)
 	if err != nil {
 		return err
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.up = up
 	return nil
 }
 
 // NodeUp reports whether the node is alive.
 func (f *Fabric) NodeUp(id NodeID) bool {
-	n, err := f.node(id)
-	if err != nil {
-		return false
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.up
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n, err := f.nodeLocked(id)
+	return err == nil && n.up
 }
 
 func pairKey(a, b NodeID) [2]NodeID {
@@ -273,30 +281,32 @@ func (f *Fabric) Partitioned(a, b NodeID) bool {
 
 // Reachable reports whether from can currently exchange traffic with to.
 func (f *Fabric) Reachable(from, to NodeID) error {
-	a, err := f.node(from)
-	if err != nil {
-		return err
+	_, _, err := f.endpoints(from, to)
+	return err
+}
+
+// endpoints resolves both ends of a transfer and checks that they can
+// exchange traffic, all under one acquisition of f.mu: liveness and
+// partitions change under the same lock, so a SetNodeUp, SetPartition or
+// AddNode that has returned is seen by every later transfer.
+func (f *Fabric) endpoints(from, to NodeID) (src, dst *node, err error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if src, err = f.nodeLocked(from); err != nil {
+		return nil, nil, err
 	}
-	b, err := f.node(to)
-	if err != nil {
-		return err
+	if dst, err = f.nodeLocked(to); err != nil {
+		return nil, nil, err
 	}
-	a.mu.Lock()
-	aUp := a.up
-	a.mu.Unlock()
-	b.mu.Lock()
-	bUp := b.up
-	b.mu.Unlock()
-	if !aUp {
-		return fmt.Errorf("%w: %v", ErrNodeDown, from)
+	switch {
+	case !src.up:
+		return nil, nil, fmt.Errorf("%w: %v", ErrNodeDown, from)
+	case !dst.up:
+		return nil, nil, fmt.Errorf("%w: %v", ErrNodeDown, to)
+	case from != to && f.partitions[pairKey(from, to)]:
+		return nil, nil, fmt.Errorf("%w: %v<->%v", ErrPartitioned, from, to)
 	}
-	if !bUp {
-		return fmt.Errorf("%w: %v", ErrNodeDown, to)
-	}
-	if from != to && f.Partitioned(from, to) {
-		return fmt.Errorf("%w: %v<->%v", ErrPartitioned, from, to)
-	}
-	return nil
+	return src, dst, nil
 }
 
 // Transfer accounts a transfer of n payload bytes from one node to another,
@@ -308,7 +318,8 @@ func (f *Fabric) Transfer(from, to NodeID, n int, start VTime) (VTime, error) {
 	if n < 0 {
 		return 0, ErrNegativeBytes
 	}
-	if err := f.Reachable(from, to); err != nil {
+	src, dst, err := f.endpoints(from, to)
+	if err != nil {
 		return 0, err
 	}
 	if slot := f.injector.Load(); slot != nil {
@@ -318,17 +329,9 @@ func (f *Fabric) Transfer(from, to NodeID, n int, start VTime) (VTime, error) {
 		}
 		start = start.Add(extra)
 	}
-	src, err := f.node(from)
-	if err != nil {
-		return 0, err
-	}
 	if from == to {
 		// Local DMA: charged at memory bandwidth, no link occupancy.
 		return start.Add(f.params.LoopbackDelay + f.params.MemCopyTime(n)), nil
-	}
-	dst, err := f.node(to)
-	if err != nil {
-		return 0, err
 	}
 	// The flow occupies links one segment at a time, so concurrent flows
 	// interleave (fluid sharing) instead of blocking behind whole
@@ -344,8 +347,8 @@ func (f *Fabric) Transfer(from, to NodeID, n int, start VTime) (VTime, error) {
 			m = seg
 		}
 		ser := VTime(f.params.SerializationTime(m))
-		egFrom, _ := src.egress.reserve(cursor, ser)
-		_, inDone := dst.ingress.reserve(egFrom+prop, ser)
+		egFrom, _ := src.egress.reserve(cursor, ser, m)
+		_, inDone := dst.ingress.reserve(egFrom+prop, ser, m)
 		// The next segment cannot start serializing before this one did
 		// (in-order flow), but may interleave with other flows' segments.
 		// Gap-filling can place a later segment into an earlier free slot,
@@ -356,8 +359,6 @@ func (f *Fabric) Transfer(from, to NodeID, n int, start VTime) (VTime, error) {
 			break
 		}
 	}
-	src.egress.addBytes(n)
-	dst.ingress.addBytes(n)
 	f.advanceVNow(done)
 	return done, nil
 }
@@ -369,6 +370,12 @@ type LinkStats struct {
 	Ops   int64
 	// HighWater is the latest virtual time at which the line was reserved.
 	HighWater VTime
+	// Gaps is the number of free intervals behind HighWater the line
+	// remembers right now (past maxGaps only through mid-gap splits).
+	Gaps int
+	// GapsDropped counts idle intervals the line did not remember because
+	// its list was full: capacity the model treated as busy.
+	GapsDropped int64
 }
 
 // NodeStats reports both directions of a node's link.
@@ -380,38 +387,29 @@ type NodeStats struct {
 
 // Stats returns a snapshot for every node.
 func (f *Fabric) Stats() []NodeStats {
-	f.mu.Lock()
-	nodes := make([]*node, len(f.nodes))
-	copy(nodes, f.nodes)
-	f.mu.Unlock()
-
+	nodes := f.allNodes()
 	out := make([]NodeStats, 0, len(nodes))
 	for _, n := range nodes {
-		var st NodeStats
-		st.Node = n.id
-		n.egress.mu.Lock()
-		st.Egress = LinkStats{Bytes: n.egress.bytes, Busy: n.egress.busy, Ops: n.egress.ops, HighWater: n.egress.nextFree}
-		n.egress.mu.Unlock()
-		n.ingress.mu.Lock()
-		st.Ingress = LinkStats{Bytes: n.ingress.bytes, Busy: n.ingress.busy, Ops: n.ingress.ops, HighWater: n.ingress.nextFree}
-		n.ingress.mu.Unlock()
-		out = append(out, st)
+		out = append(out, NodeStats{Node: n.id, Egress: n.egress.stats(), Ingress: n.ingress.stats()})
 	}
 	return out
 }
 
-// ResetStats zeroes the per-line accounting (but not nextFree, which is
-// part of the virtual timeline).
+// ResetStats zeroes the per-line accounting (but not nextFree or the gap
+// list, which are part of the virtual timeline).
 func (f *Fabric) ResetStats() {
-	f.mu.Lock()
-	nodes := make([]*node, len(f.nodes))
-	copy(nodes, f.nodes)
-	f.mu.Unlock()
-	for _, n := range nodes {
+	for _, n := range f.allNodes() {
 		for _, l := range []*line{&n.egress, &n.ingress} {
 			l.mu.Lock()
-			l.bytes, l.busy, l.ops = 0, 0, 0
+			l.bytes, l.busy, l.ops, l.dropped = 0, 0, 0, 0
 			l.mu.Unlock()
 		}
 	}
+}
+
+// allNodes copies the node table so lines can be visited without f.mu.
+func (f *Fabric) allNodes() []*node {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]*node(nil), f.nodes...)
 }

@@ -3,7 +3,9 @@ package simnet
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -372,5 +374,149 @@ func TestLoopbackToDownNodeFails(t *testing.T) {
 	}
 	if _, err := f.Transfer(0, 0, 10, 0); !errors.Is(err, ErrNodeDown) {
 		t.Errorf("err = %v, want ErrNodeDown", err)
+	}
+}
+
+// TestTransferOrderingUnderConcurrentMutation: Transfer takes the fabric
+// lock once and each line's lock once per segment, and nothing else; this
+// holds the contract that budget must keep. Goroutines transfer while
+// others grow the cluster and read and reset the stats, and liveness and
+// partitions flip underneath. A transfer started after SetNodeUp(id, false)
+// or SetPartition(a, b, true) returned — on another goroutine, ordered only
+// by a channel hand-off — fails with the matching error, one started after
+// the heal succeeds, and once traffic stops every byte moved is accounted
+// exactly twice (on its egress and on its ingress line).
+func TestTransferOrderingUnderConcurrentMutation(t *testing.T) {
+	const (
+		bystanders = 3 // nodes 0–2 carry background traffic and are never faulted
+		victim     = NodeID(3)
+		peer       = NodeID(4)
+		size       = 100 << 10 // two segments
+		rounds     = 100
+	)
+	f := NewFabric(5, testParams())
+	var moved atomic.Int64
+	transfer := func(from, to NodeID, start VTime, want error) VTime {
+		done, err := f.Transfer(from, to, size, start)
+		if !errors.Is(err, want) {
+			t.Errorf("Transfer(%v, %v) = %v, want %v", from, to, err, want)
+		}
+		if err == nil {
+			moved.Add(size)
+		}
+		return done
+	}
+
+	// The prober owns victim↔peer traffic and runs each transfer on request.
+	type probe struct {
+		from, to NodeID
+		want     error
+	}
+	probes, probed := make(chan probe), make(chan struct{})
+	defer close(probes)
+	go func() {
+		for p := range probes {
+			transfer(p.from, p.to, f.VNow(), p.want)
+			probed <- struct{}{}
+		}
+	}()
+	check := func(from, to NodeID, want error) {
+		probes <- probe{from, to, want}
+		<-probed
+	}
+
+	phase := func(resetting bool) {
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		// churn calls fn until the phase ends, yielding between calls so the
+		// hand-offs to the prober are not starved on a small box.
+		churn := func(fn func(i int)) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+						fn(i)
+						runtime.Gosched()
+					}
+				}
+			}()
+		}
+		for w := 0; w < bystanders; w++ {
+			w, now := w, f.VNow()
+			churn(func(i int) { now = transfer(NodeID(w), NodeID((w+1+i%2)%bystanders), now, nil) })
+		}
+		churn(func(i int) {
+			if i < 32 {
+				f.AddNode()
+			}
+			f.Stats()
+			if resetting {
+				f.ResetStats()
+			}
+		})
+		for i := 0; i < rounds; i++ {
+			if err := f.SetNodeUp(victim, false); err != nil {
+				t.Fatal(err)
+			}
+			check(peer, victim, ErrNodeDown)
+			check(victim, peer, ErrNodeDown)
+			if err := f.SetNodeUp(victim, true); err != nil {
+				t.Fatal(err)
+			}
+			check(peer, victim, nil)
+			f.SetPartition(victim, peer, true)
+			check(victim, peer, ErrPartitioned)
+			check(victim, 0, nil) // a partition blocks one pair only
+			f.SetPartition(peer, victim, false)
+			check(victim, peer, nil)
+		}
+		close(stop)
+		wg.Wait()
+	}
+	phase(true) // ResetStats in the mix: only races and ordering are checked
+	f.ResetStats()
+	moved.Store(0)
+	phase(false)
+
+	var accounted int64
+	for _, st := range f.Stats() {
+		accounted += st.Egress.Bytes + st.Ingress.Bytes
+	}
+	if want := 2 * moved.Load(); accounted != want || want == 0 {
+		t.Errorf("lines account %d bytes, want 2 x %d moved", accounted, moved.Load())
+	}
+}
+
+// BenchmarkFabricTransfer times one transfer between two live nodes whose
+// lines are in the steady state of a long run: a chained caller (each op
+// starts when the previous one completed) has long since filled both gap
+// lists with intervals nothing fits into.
+func BenchmarkFabricTransfer(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		size int
+	}{
+		{"64B", 64},
+		{"256KiB", 256 << 10},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			f := NewFabric(2, DefaultParams())
+			var now VTime
+			for i := 0; i < 2*maxGaps; i++ {
+				now, _ = f.Transfer(0, 1, 64, now)
+			}
+			if st := f.Stats()[0].Egress; st.Gaps < maxGaps {
+				b.Fatalf("warm-up left %d gaps, want a full list", st.Gaps)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				now, _ = f.Transfer(0, 1, bc.size, now)
+			}
+		})
 	}
 }
