@@ -27,17 +27,6 @@ func (c *Client) AllocBuf(n int) (*Buf, error) {
 	return &Buf{mr: mr}, nil
 }
 
-// RegisterBuf registers caller-owned memory for zero-copy IO. The caller
-// must keep buf alive and unshrunk until Release.
-func (c *Client) RegisterBuf(buf []byte) (*Buf, error) {
-	mr, err := c.pd.RegisterMemory(buf, rdma.AccessLocalWrite)
-	if err != nil {
-		return nil, fmt.Errorf("client: register buf: %w", err)
-	}
-	c.chargeRegister(len(buf))
-	return &Buf{mr: mr}, nil
-}
-
 // Bytes returns the registered memory for direct access.
 func (b *Buf) Bytes() []byte { return b.mr.Bytes() }
 

@@ -62,12 +62,6 @@ var (
 	ErrMasterUnavailable = errors.New("client: master unavailable")
 )
 
-// errNotPrimary marks a master replica that answered but is not the
-// primary. The retry loop re-homes to the redirect hint and tries again;
-// the sentinel surfaces (wrapped in ErrMasterUnavailable) only when no
-// replica would serve within the retry budget.
-var errNotPrimary = errors.New("client: master replica is not primary")
-
 // Config tunes a client.
 type Config struct {
 	// Master is the node the master runs on.
@@ -90,16 +84,10 @@ type Config struct {
 	Retry RetryPolicy
 }
 
-// masters returns the configured master group (the single Master when no
-// group was given).
-func (c Config) masters() []simnet.NodeID {
-	if len(c.Masters) > 0 {
-		return c.Masters
-	}
-	return []simnet.NodeID{c.Master}
-}
-
 func (c Config) withDefaults() Config {
+	if len(c.Masters) == 0 {
+		c.Masters = []simnet.NodeID{c.Master}
+	}
 	if c.StagingChunk <= 0 {
 		c.StagingChunk = 1 << 20
 	}
@@ -176,16 +164,21 @@ type Client struct {
 	// allocSeq numbers Alloc idempotency tokens (unique per client).
 	allocSeq atomic.Uint64
 
-	mu        sync.Mutex
-	closed    bool
-	preferred simnet.NodeID // master replica currently believed primary
-	master    *rpc.Conn     // replaced on re-dial after a connection failure
-	conns     map[simnet.NodeID]*serverConn
-	epochs    map[simnet.NodeID]uint64 // last observed master epoch per server
-	notify    map[simnet.NodeID]*notifyConn
-	regions   map[proto.RegionID][]*Region // mapped handles, for invalidation push
-	ctrl      ControlStats
-	staging   chan *Buf
+	// masters finds the primary for every control call; conns and notify
+	// cache the one-sided and the notification connection to each memory
+	// server. All three dial lazily and close themselves with the client.
+	masters *proto.MasterGroup
+	conns   *rdma.Cache[simnet.NodeID, *serverConn]
+	notify  *rdma.Cache[simnet.NodeID, *notifyConn]
+	// connected is set once Connect's own dial is through: every master
+	// dial after it replaces a connection (client.redials).
+	connected bool
+
+	mu      sync.Mutex
+	servers map[simnet.NodeID]serverSeen // last master verdict per server
+	regions map[proto.RegionID][]*Region // mapped handles, for invalidation push
+	ctrl    ControlStats
+	staging chan *Buf
 }
 
 // registerRegion indexes a mapped handle so invalidation pushes can find it.
@@ -253,9 +246,7 @@ func Connect(ctx context.Context, dev *rdma.Device, cfg Config) (*Client, error)
 			slowOps:        tel.Counter("client.slow_ops"),
 		},
 		tracer:  tel.Tracer(),
-		conns:   make(map[simnet.NodeID]*serverConn),
-		epochs:  make(map[simnet.NodeID]uint64),
-		notify:  make(map[simnet.NodeID]*notifyConn),
+		servers: make(map[simnet.NodeID]serverSeen),
 		regions: make(map[proto.RegionID][]*Region),
 		staging: make(chan *Buf, cfg.StagingCount),
 	}
@@ -263,18 +254,23 @@ func Connect(ctx context.Context, dev *rdma.Device, cfg Config) (*Client, error)
 		c.ctr.ops[k], c.ctr.lat[k] = tel.Counter(n.counter), tel.Histogram(n.latency)
 	}
 	c.retry.onRetry = c.ctr.retries.Inc
-	c.preferred = cfg.masters()[0]
-	master, err := c.dialAnyMaster(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("client: dial master: %w", err)
+	c.masters = proto.NewMasterGroup(cfg.Masters, c.dialMaster)
+	c.conns = rdma.NewCache(c.serverCurrent, (*serverConn).close)
+	// A notify connection carries its subscribers' channels, so it is kept
+	// until the client closes rather than replaced when its QP fails.
+	c.notify = rdma.NewCache(func(simnet.NodeID, *notifyConn) bool { return true }, (*notifyConn).close)
+	// Any replica that accepts the dial will do: a standby redirects the
+	// first call, and the locator follows the hint.
+	if _, err := c.masters.Do(ctx, func(context.Context, *rpc.Conn) error { return nil }); err != nil {
+		return nil, fmt.Errorf("client: dial master: %w: %v", ErrMasterUnavailable, err)
 	}
-	c.master = master
+	c.connected = true
 	// Join the fabric's virtual timeline at connect time.
 	c.advanceVNow(dev.Network().Fabric().VNow())
 	for i := 0; i < cfg.StagingCount; i++ {
 		b, err := c.AllocBuf(cfg.StagingChunk)
 		if err != nil {
-			master.Close()
+			c.masters.Close()
 			return nil, fmt.Errorf("client: staging: %w", err)
 		}
 		c.staging <- b
@@ -411,183 +407,51 @@ func (c *Client) chargeRegister(n int) {
 
 // Close tears down all connections. Mapped regions become unusable.
 func (c *Client) Close() {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.closed = true
-	conns := make([]*serverConn, 0, len(c.conns))
-	for _, sc := range c.conns {
-		conns = append(conns, sc)
-	}
-	c.conns = make(map[simnet.NodeID]*serverConn)
-	notifies := make([]*notifyConn, 0, len(c.notify))
-	for _, nc := range c.notify {
-		notifies = append(notifies, nc)
-	}
-	c.notify = make(map[simnet.NodeID]*notifyConn)
-	master := c.master
-	c.mu.Unlock()
-
-	for _, sc := range conns {
-		sc.close()
-	}
-	for _, nc := range notifies {
-		nc.close()
-	}
-	if master != nil {
-		master.Close()
-	}
+	c.conns.CloseAll()
+	c.notify.CloseAll()
+	c.masters.Close()
 }
 
-func (c *Client) checkOpen() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return ErrClosed
+// dialMaster is the master locator's dial hook: every control connection it
+// opens is charged to ControlStats.
+func (c *Client) dialMaster(ctx context.Context, node simnet.NodeID) (*rpc.Conn, error) {
+	if c.connected {
+		c.ctr.redials.Inc()
 	}
-	return nil
-}
-
-// dialAnyMaster dials the preferred master replica, falling back to the
-// rest of the configured group in order. A successful dial re-homes the
-// preference; a standby answering is fine — the first call against it
-// returns a not-primary redirect and the client chases the hint. When
-// every replica is unreachable the error wraps ErrMasterUnavailable.
-func (c *Client) dialAnyMaster(ctx context.Context) (*rpc.Conn, error) {
-	c.mu.Lock()
-	pref := c.preferred
-	c.mu.Unlock()
-	candidates := []simnet.NodeID{pref}
-	for _, n := range c.cfg.masters() {
-		if n != pref {
-			candidates = append(candidates, n)
-		}
-	}
-	var lastErr error
-	for _, node := range candidates {
-		conn, err := rpc.Dial(ctx, c.dev, node, proto.MasterService, c.pd, c.cfg.RPC)
-		if err != nil {
-			lastErr = err
-			continue
-		}
+	conn, err := rpc.Dial(ctx, c.dev, node, proto.MasterService, c.pd, c.cfg.RPC)
+	if err == nil {
 		c.chargeConnect()
-		c.mu.Lock()
-		c.preferred = node
-		c.mu.Unlock()
-		return conn, nil
 	}
-	return nil, fmt.Errorf("%w: %v", ErrMasterUnavailable, lastErr)
-}
-
-// noteNotPrimary re-homes the client after a not-primary redirect: adopt
-// the hinted leader (or rotate to the next configured replica when the
-// hint is unknown) and retire the control connection so the next attempt
-// dials the new preference.
-func (c *Client) noteNotPrimary(conn *rpc.Conn, hint simnet.NodeID) {
-	c.mu.Lock()
-	if hint >= 0 {
-		c.preferred = hint
-	} else {
-		ms := c.cfg.masters()
-		for i, n := range ms {
-			if n == c.preferred {
-				c.preferred = ms[(i+1)%len(ms)]
-				break
-			}
-		}
-	}
-	var old *rpc.Conn
-	if c.master == conn {
-		old = c.master
-		c.master = nil
-	}
-	c.mu.Unlock()
-	if old != nil {
-		go old.Close()
-	}
-}
-
-// masterConn returns the control connection, re-dialing when the current
-// one has failed (the QP of a partitioned or bounced master dies
-// permanently; recovery is a fresh connection) or was retired by a
-// not-primary redirect.
-func (c *Client) masterConn(ctx context.Context) (*rpc.Conn, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
-	}
-	cur := c.master
-	c.mu.Unlock()
-	if cur != nil && cur.Err() == nil {
-		return cur, nil
-	}
-
-	c.ctr.redials.Inc()
-	fresh, err := c.dialAnyMaster(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("client: redial master: %w", err)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		go fresh.Close()
-		return nil, ErrClosed
-	}
-	if c.master != cur && c.master != nil && c.master.Err() == nil {
-		// Another caller re-dialed first; keep theirs.
-		go fresh.Close()
-		return c.master, nil
-	}
-	old := c.master
-	c.master = fresh
-	if old != nil {
-		go old.Close()
-	}
-	return fresh, nil
+	return conn, err
 }
 
 // call wraps a master RPC with control-time accounting, error mapping, and
-// the client's retry policy. Transport failures (QP death, partitions,
-// per-call timeouts) re-dial and retry with capped backoff; remote business
-// errors surface immediately.
+// the client's retry policy. One attempt is one pass of the master locator
+// (proto.MasterGroup.Do), which finds the primary and re-dials as needed.
+// Remote business errors surface immediately; a pass in which no replica
+// served — unreachable, between primaries, out of time — means the group
+// is unavailable to this client for now, and is retried with capped backoff
+// for as long as the caller's ctx and the retry budget last.
 func (c *Client) call(ctx context.Context, mt uint16, req []byte) ([]byte, error) {
-	if err := c.checkOpen(); err != nil {
-		return nil, err
-	}
 	var resp []byte
-	err := c.retry.do(ctx, func(ctx context.Context) error {
-		conn, err := c.masterConn(ctx)
-		if err != nil {
-			return err
-		}
+	rpcCall := func(ctx context.Context, conn *rpc.Conn) error {
 		r, lat, err := conn.Call(ctx, mt, req)
 		c.chargeRPC(lat)
-		if err != nil {
-			var re *rpc.RemoteError
-			if errors.As(err, &re) {
-				if p, _, ok := proto.IsNotPrimaryMsg(re.Msg); ok {
-					// A standby (or fenced stale primary) answered: re-home
-					// to the hinted leader and retry there.
-					c.noteNotPrimary(conn, p)
-					return fmt.Errorf("%w: %s", errNotPrimary, re.Msg)
-				}
-			}
-			return mapMasterError(err)
-		}
 		resp = r
-		return nil
+		return err
+	}
+	err := c.retry.do(ctx, func(ctx context.Context) error {
+		out, err := c.masters.Do(ctx, rpcCall)
+		switch {
+		case out == proto.Served:
+			return mapMasterError(err)
+		case errors.Is(err, rdma.ErrCacheClosed):
+			return ErrClosed
+		default:
+			return fmt.Errorf("%w: %v", ErrMasterUnavailable, err)
+		}
 	})
 	if err != nil {
-		// Retries exhausted without reaching a serving primary: a transport
-		// failure class (or an unresolved redirect loop) means the master
-		// group is effectively unavailable to this client right now.
-		if errors.Is(err, errNotPrimary) ||
-			(retryable(err) && !errors.Is(err, ErrMasterUnavailable)) {
-			err = fmt.Errorf("%w: %v", ErrMasterUnavailable, err)
-		}
 		return nil, err
 	}
 	return resp, nil
@@ -596,6 +460,9 @@ func (c *Client) call(ctx context.Context, mt uint16, req []byte) ([]byte, error
 // mapMasterError turns remote master errors into the client's typed
 // sentinels so callers can use errors.Is across the RPC boundary.
 func mapMasterError(err error) error {
+	if err == nil {
+		return nil
+	}
 	var re *rpc.RemoteError
 	if !errors.As(err, &re) {
 		return err
@@ -671,21 +538,11 @@ func (c *Client) fetchLayout(ctx context.Context, mt uint16, name string) (*prot
 	}
 	d := rpc.NewDecoder(resp)
 	info := proto.DecodeRegionInfo(d)
-	lease := decodeLease(d)
+	lease := d.U64() // layout-lease term, virtual nanoseconds (0 = none)
 	if err := d.Err(); err != nil {
 		return nil, 0, err
 	}
 	return info, lease, c.connectRegion(ctx, info)
-}
-
-// decodeLease reads the layout-lease term (virtual nanoseconds) a map or
-// remap response carries after the region metadata. Tolerant of its
-// absence — an old or lease-disabled master simply grants no lease (0).
-func decodeLease(d *rpc.Decoder) uint64 {
-	if d.Err() == nil && d.Remaining() > 0 {
-		return d.U64()
-	}
-	return 0
 }
 
 // connectRegion eagerly connects to every server a region touches so the
@@ -726,12 +583,12 @@ func (c *Client) connectRegion(ctx context.Context, info *proto.RegionInfo) erro
 		if known {
 			// The dead verdict can be stale in both directions (a starved
 			// heartbeat marks a healthy server dead for a beat or two), so
-			// it is advisory: drop the cached connection and probe with a
+			// it is advisory: retire the cached connection and probe with a
 			// fresh dial. Only a server that is declared dead AND
 			// unreachable makes the region lost.
-			c.refreshConn(node, si.Epoch, !si.Alive)
+			c.noteServer(node, si.Epoch, !si.Alive)
 		}
-		if _, err := c.serverConn(ctx, node); err != nil {
+		if _, err := c.conns.Get(ctx, node, c.dialServer); err != nil {
 			failed[node] = err
 			if known && !si.Alive {
 				deadFailed[node] = true
@@ -766,22 +623,37 @@ func (c *Client) connectRegion(ctx context.Context, info *proto.RegionInfo) erro
 	return nil
 }
 
-// refreshConn records the server's current epoch and closes the cached
-// connection to it when that was dialed against an earlier incarnation, or
-// when drop is set, so the next serverConn call dials fresh.
-func (c *Client) refreshConn(node simnet.NodeID, epoch uint64, drop bool) {
+// serverSeen is what the master last said about a memory server, as far as
+// it decides whether a connection to it is still current: its incarnation,
+// and how often it has been reported dead.
+type serverSeen struct {
+	epoch  uint64
+	deaths int
+}
+
+// noteServer records the master's verdict on a server from a fresh liveness
+// snapshot. A bumped epoch means the server restarted — its old arena (and
+// the peer of any cached QP) is gone — and a dead verdict asks for a probe;
+// either way connections dialled before it stop being current.
+func (c *Client) noteServer(node simnet.NodeID, epoch uint64, dead bool) {
 	c.mu.Lock()
-	c.epochs[node] = epoch
-	sc := c.conns[node]
-	if sc != nil && (drop || sc.epoch != epoch) {
-		delete(c.conns, node)
-	} else {
-		sc = nil
+	seen := c.servers[node]
+	seen.epoch = epoch
+	if dead {
+		seen.deaths++
 	}
+	c.servers[node] = seen
 	c.mu.Unlock()
-	if sc != nil {
-		sc.close()
-	}
+}
+
+// serverCurrent is the server-connection cache's health predicate: the QP
+// is up and nothing the master said since the dial (noteServer) puts the
+// peer behind it in doubt.
+func (c *Client) serverCurrent(node simnet.NodeID, sc *serverConn) bool {
+	c.mu.Lock()
+	seen := c.servers[node]
+	c.mu.Unlock()
+	return sc.seen == seen && sc.healthy()
 }
 
 // serverDead asks the master whether it has declared the node dead. A
@@ -894,11 +766,8 @@ func (c *Client) ClusterHealth(ctx context.Context) (proto.HealthReport, error) 
 // MasterStatus is one master replica's self-reported replication role, as
 // probed by MasterStatuses. Err is set when the replica was unreachable.
 type MasterStatus struct {
-	Node    simnet.NodeID
-	Role    string
-	Epoch   uint64
-	Primary simnet.NodeID
-	Err     error
+	proto.MasterStatus
+	Err error
 }
 
 // MasterStatuses probes every configured master replica for its
@@ -907,31 +776,14 @@ type MasterStatus struct {
 // report too; an unreachable replica gets a non-nil Err in its row
 // instead of failing the whole probe.
 func (c *Client) MasterStatuses(ctx context.Context) []MasterStatus {
-	out := make([]MasterStatus, 0, len(c.cfg.masters()))
-	for _, node := range c.cfg.masters() {
-		st := MasterStatus{Node: node, Role: "unreachable", Primary: -1}
-		conn, err := rpc.Dial(ctx, c.dev, node, proto.MasterService, c.pd, c.cfg.RPC)
+	out := make([]MasterStatus, 0, len(c.cfg.Masters))
+	for _, node := range c.cfg.Masters {
+		st, err := c.masters.Probe(ctx, node)
 		if err != nil {
-			st.Err = fmt.Errorf("%w: %v", ErrMasterUnavailable, err)
-			out = append(out, st)
-			continue
+			st = proto.MasterStatus{Node: node, Role: "unreachable", Primary: -1}
+			err = fmt.Errorf("%w: %v", ErrMasterUnavailable, err)
 		}
-		resp, lat, err := conn.Call(ctx, proto.MtMasterStatus, nil)
-		c.chargeRPC(lat)
-		conn.Close()
-		if err != nil {
-			st.Err = fmt.Errorf("%w: %v", ErrMasterUnavailable, err)
-			out = append(out, st)
-			continue
-		}
-		d := rpc.NewDecoder(resp)
-		ms := proto.DecodeMasterStatus(d)
-		if derr := d.Err(); derr != nil {
-			st.Err = derr
-		} else {
-			st.Role, st.Epoch, st.Primary = ms.Role, ms.Epoch, ms.Primary
-		}
-		out = append(out, st)
+		out = append(out, MasterStatus{st, err})
 	}
 	return out
 }
@@ -981,25 +833,13 @@ func (c *Client) reportDegraded(ctx context.Context, name string, copyIdx int) (
 	return d.U64(), d.Err()
 }
 
-// serverConn returns (establishing if needed) the one-sided connection to
-// a memory server. Connections are shared across all regions — the QP
-// amortization the paper's control-path evaluation highlights.
-func (c *Client) serverConn(ctx context.Context, node simnet.NodeID) (*serverConn, error) {
+// dialServer opens the one-sided connection to a memory server. The conns
+// cache shares it across all regions — the QP amortization the paper's
+// control-path evaluation highlights.
+func (c *Client) dialServer(ctx context.Context, node simnet.NodeID) (*serverConn, error) {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if sc, ok := c.conns[node]; ok && sc.healthy() {
-		c.mu.Unlock()
-		return sc, nil
-	}
-	stale := c.conns[node]
+	seen := c.servers[node]
 	c.mu.Unlock()
-	if stale != nil {
-		stale.close()
-	}
-
 	qp, err := c.dev.Dial(ctx, node, proto.MemDataService, c.pd, rdma.ConnOpts{SendDepth: c.cfg.QPDepth, RecvDepth: 16})
 	if err != nil {
 		return nil, err
@@ -1011,21 +851,6 @@ func (c *Client) serverConn(ctx context.Context, node simnet.NodeID) (*serverCon
 		qp.Close()
 		return nil, err
 	}
-	sc := newServerConn(qp, scratch)
 	c.chargeConnect()
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		sc.close()
-		return nil, ErrClosed
-	}
-	if cur, ok := c.conns[node]; ok && cur.healthy() {
-		// Lost a race with another mapper; keep the established one.
-		go sc.close()
-		return cur, nil
-	}
-	sc.epoch = c.epochs[node]
-	c.conns[node] = sc
-	return sc, nil
+	return newServerConn(qp, scratch, seen), nil
 }

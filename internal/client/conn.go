@@ -209,11 +209,12 @@ type serverConn struct {
 	// node is the memory server this connection targets; fragment spans
 	// are attributed to it.
 	node simnet.NodeID
-	// epoch is the master's incarnation counter for the server at dial
-	// time. A later snapshot with a higher epoch means the server bounced:
-	// the peer QP and arena behind this connection no longer exist, so the
-	// connection must be replaced even though the local QP still looks ready.
-	epoch uint64
+	// seen is the master's verdict on the server at dial time. A later
+	// snapshot with a higher epoch means the server bounced: the peer QP and
+	// arena behind this connection no longer exist, so the connection must
+	// be replaced even though the local QP still looks ready (see
+	// Client.serverCurrent).
+	seen serverSeen
 	// scratch is the registered 8-byte word every atomic on this connection
 	// names as its result buffer. The QP executes in order on one worker, so
 	// it has one writer, and nobody reads it: the prior value travels in the
@@ -235,11 +236,12 @@ type postedWR struct {
 	ci int
 }
 
-func newServerConn(qp *rdma.QP, scratch *rdma.MemoryRegion) *serverConn {
+func newServerConn(qp *rdma.QP, scratch *rdma.MemoryRegion, seen serverSeen) *serverConn {
 	ctx, cancel := context.WithCancel(context.Background())
 	sc := &serverConn{
 		qp:      qp,
 		node:    qp.RemoteNode(),
+		seen:    seen,
 		scratch: scratch,
 		pending: make(map[uint64]postedWR),
 		cancel:  cancel,

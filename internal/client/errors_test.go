@@ -251,11 +251,10 @@ func TestSubscribeAbortCleansState(t *testing.T) {
 		t.Errorf("Subscribe blocked %v past its context deadline", elapsed)
 	}
 
-	cli.mu.Lock()
-	nc := cli.notify[home]
-	cli.mu.Unlock()
-	if nc == nil {
-		t.Fatal("notify connection missing")
+	// The notify connection outlives its QP, so this is the cached one.
+	nc, err := cli.notify.Get(ctx, home, cli.dialNotify)
+	if err != nil {
+		t.Fatalf("notify connection missing: %v", err)
 	}
 	nc.mu.Lock()
 	subs, acks := len(nc.subs[info.ID]), len(nc.acks[info.ID])

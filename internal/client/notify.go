@@ -40,20 +40,9 @@ type notifyConn struct {
 	wg     sync.WaitGroup
 }
 
-// notifyConn returns (establishing if needed) the notification connection
-// to a node.
-func (c *Client) notifyConn(ctx context.Context, node simnet.NodeID) (*notifyConn, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if nc, ok := c.notify[node]; ok {
-		c.mu.Unlock()
-		return nc, nil
-	}
-	c.mu.Unlock()
-
+// dialNotify opens the notification channel to a memory server and starts
+// its receive loop.
+func (c *Client) dialNotify(ctx context.Context, node simnet.NodeID) (*notifyConn, error) {
 	qp, err := c.dev.Dial(ctx, node, proto.MemNotifyService, c.pd, rdma.ConnOpts{SendDepth: notifySlots * 2, RecvDepth: notifySlots * 2})
 	if err != nil {
 		return nil, fmt.Errorf("notify dial %v: %w", node, err)
@@ -91,18 +80,6 @@ func (c *Client) notifyConn(ctx context.Context, node simnet.NodeID) (*notifyCon
 	c.chargeConnect()
 	nc.wg.Add(1)
 	go nc.recvLoop(loopCtx)
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		go nc.close()
-		return nil, ErrClosed
-	}
-	if cur, ok := c.notify[node]; ok {
-		go nc.close()
-		return cur, nil
-	}
-	c.notify[node] = nc
 	return nc, nil
 }
 
@@ -194,7 +171,7 @@ func (r *Region) Subscribe(ctx context.Context) (<-chan Notification, func(), er
 		return nil, nil, err
 	}
 	info := r.Info()
-	nc, err := r.c.notifyConn(ctx, info.HomeServer())
+	nc, err := r.c.notify.Get(ctx, info.HomeServer(), r.c.dialNotify)
 	if err != nil {
 		return nil, nil, fmt.Errorf("subscribe %q: %w", info.Name, err)
 	}
@@ -267,7 +244,7 @@ func (r *Region) Notify(ctx context.Context, token uint32) error {
 		return err
 	}
 	info := r.Info()
-	nc, err := r.c.notifyConn(ctx, info.HomeServer())
+	nc, err := r.c.notify.Get(ctx, info.HomeServer(), r.c.dialNotify)
 	if err != nil {
 		return fmt.Errorf("notify %q: %w", info.Name, err)
 	}

@@ -255,7 +255,7 @@ func (r *Region) start(ctx context.Context, a access, prev *Pending) (*Pending, 
 	for ci := range copies {
 		frags := copies[ci].frags
 		for i, f := range frags {
-			sc, err := r.c.serverConn(ctx, f.Server)
+			sc, err := r.c.conns.Get(ctx, f.Server, r.c.dialServer)
 			if err == nil {
 				wr := rdma.SendWR{
 					Op:         a.opcode,

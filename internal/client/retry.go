@@ -175,10 +175,8 @@ func retryable(err error) bool {
 		errors.Is(err, rdma.ErrQPState),
 		errors.Is(err, rdma.ErrTimeout),
 		errors.Is(err, context.DeadlineExceeded),
-		// A not-primary redirect retries against the re-homed replica; an
-		// all-replicas-unreachable dial round is worth retrying too — the
-		// group may be mid-failover.
-		errors.Is(err, errNotPrimary),
+		// A pass of the master locator that found no serving primary is
+		// worth repeating — the group may be mid-failover.
 		errors.Is(err, ErrMasterUnavailable):
 		return true
 	default:

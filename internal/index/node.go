@@ -297,13 +297,3 @@ func (n *node) insertSep(sep []byte, right uint32) {
 	copy(n.children[i+2:], n.children[i+1:])
 	n.children[i+1] = right
 }
-
-// hasChild reports whether an inner node still points at cell.
-func (n *node) hasChild(cell uint32) bool {
-	for _, c := range n.children {
-		if c == cell {
-			return true
-		}
-	}
-	return false
-}

@@ -170,10 +170,6 @@ func (s *Store) Capacity() int { return s.opts.Slots }
 // MaxEntry returns the largest key+value an entry may hold.
 func (s *Store) MaxEntry() int { return s.opts.SlotSize - slotHeader }
 
-// Txn exposes the table's transaction space, so callers can compose
-// multi-key updates over the same cells the Store serves.
-func (s *Store) Txn() *txn.Space { return s.sp }
-
 func hashKey(key []byte) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write(key)

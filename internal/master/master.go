@@ -127,12 +127,10 @@ type Master struct {
 
 	// Ephemeral, unreplicated state of the current primary (guarded by mu).
 	// beats holds each server's heartbeat recency and piggybacked telemetry,
-	// underRepair the copies with a repair transfer in flight, and appended
-	// the log position of the last record commitLocked appended (what
-	// asPrimary waits on). A promotion starts all three afresh.
+	// underRepair the copies with a repair transfer in flight. A promotion
+	// starts both afresh.
 	beats       map[simnet.NodeID]*serverBeat
 	underRepair map[repairKey]bool
-	appended    uint64
 
 	// Replication-group state (all guarded by mu). epoch is the master
 	// epoch — bumped once per failover, it fences stale primaries. leader
@@ -156,10 +154,9 @@ type Master struct {
 	engine *health.Engine
 
 	repair repairQueue
-	// ctrlConns are the repair plane's connections to the memory servers'
-	// control endpoints, guarded separately so pulls never hold m.mu.
-	ctrlMu    sync.Mutex
-	ctrlConns map[simnet.NodeID]*rpc.Conn
+	// ctrl caches the connections to the memory servers' control endpoints
+	// (repair pulls, trace pulls, candidacy pings).
+	ctrl *rdma.Cache[simnet.NodeID, *rpc.Conn]
 
 	// ctx lives as long as the master: Close cancels it, which stops every
 	// loop and bounds every outbound RPC.
@@ -284,7 +281,7 @@ func Start(dev *rdma.Device, cfg Config) (*Master, error) {
 		st:          newState(),
 		beats:       make(map[simnet.NodeID]*serverBeat),
 		underRepair: make(map[repairKey]bool),
-		ctrlConns:   make(map[simnet.NodeID]*rpc.Conn),
+		ctrl:        rpc.NewConnCache[simnet.NodeID](),
 	}
 	m.ctx, m.cancel = context.WithCancel(context.Background())
 	for _, p := range cfg.Peers {
@@ -371,33 +368,52 @@ func (m *Master) Close() {
 	}
 	m.cancel()
 	m.wg.Wait()
-	m.closeCtrlConns()
+	m.ctrl.CloseAll()
 	m.srv.Close()
+}
+
+// notPrimaryLocked builds the redirect a replica that is not (or no longer)
+// the primary answers with. Caller holds m.mu.
+func (m *Master) notPrimaryLocked() error {
+	hint := m.leader
+	if hint == m.cfg.Node {
+		hint = -1
+	}
+	return proto.NotPrimaryError(hint, m.epoch)
 }
 
 // asPrimary is the one way into the metadata for everything the primary
 // does on request. A standby (or a stepped-down primary) answers with the
-// not-primary redirect instead of serving from possibly-stale state;
-// the primary runs fn under m.mu and then — with the lock released, so a
-// slow follower never stalls the master — waits until every record fn
-// committed is replicated. Only after that does the caller release its
-// response.
+// not-primary redirect instead of serving from possibly-stale state; the
+// primary runs fn under m.mu and then — with the lock released, so a slow
+// follower never stalls the master — waits until the log as it stood when
+// fn returned is replicated. That covers the records fn committed and
+// equally the ones the sweep or another handler committed a moment
+// earlier, which fn may have read: only then does the caller release its
+// response, so nothing a client was ever told can be missing from a
+// promoted standby. A primary that steps down during the wait redirects
+// too, and the client retries against the successor.
 func (m *Master) asPrimary(fn func() error) error {
+	return m.asPrimaryIf(func() (bool, error) { return true, fn() })
+}
+
+// asPrimaryIf is asPrimary for an fn that can tell it committed nothing and
+// reveals nothing — the heartbeat handler's plain liveness beat — and then
+// answers without the wait (wait=false).
+func (m *Master) asPrimaryIf(fn func() (wait bool, err error)) error {
 	m.mu.Lock()
 	if m.role != rolePrimary {
-		hint := m.leader
-		if hint == m.cfg.Node {
-			hint = -1
-		}
-		err := proto.NotPrimaryError(hint, m.epoch)
-		m.mu.Unlock()
-		return err
+		defer m.mu.Unlock()
+		return m.notPrimaryLocked()
 	}
-	m.appended = 0
-	err := fn()
-	seq := m.appended
+	term := m.repl.term
+	wait, err := fn()
 	m.mu.Unlock()
-	m.repl.waitCommitted(seq)
+	if wait && !m.repl.waitCommitted(term) {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return m.notPrimaryLocked()
+	}
 	return err
 }
 
@@ -578,10 +594,14 @@ func (m *Master) handleHeartbeat(_ context.Context, from simnet.NodeID, req *rpc
 		}
 	}
 	m.ctr.heartbeats.Inc()
-	return &rpc.Encoder{}, m.asPrimary(func() error {
+	// A beat that only refreshes liveness reveals no metadata and answers
+	// without the commit-wait: behind a dead standby the streamer has not
+	// detached yet (5 intervals) the wait would outlast every server's beat
+	// budget (4). Only a beat that revives the server commits, and waits.
+	return &rpc.Encoder{}, m.asPrimaryIf(func() (revived bool, err error) {
 		s, ok := m.st.servers[from]
 		if !ok {
-			return fmt.Errorf("master: heartbeat from unregistered server %v", from)
+			return false, fmt.Errorf("master: heartbeat from unregistered server %v", from)
 		}
 		b := m.beat(from)
 		b.lastBeat = time.Now()
@@ -589,7 +609,7 @@ func (m *Master) handleHeartbeat(_ context.Context, from simnet.NodeID, req *rpc
 			b.tel = tel
 		}
 		if s.alive {
-			return nil
+			return false, nil
 		}
 		// The same incarnation beat again without re-registering: the
 		// death verdict was heartbeat starvation and the arena is intact.
@@ -597,13 +617,13 @@ func (m *Master) handleHeartbeat(_ context.Context, from simnet.NodeID, req *rpc
 		// any repairs that stalled for lack of capacity or a clean source.
 		m.ctr.revives.Inc()
 		if err := m.commitLocked(proto.ReplRecord{Kind: proto.ReplServerAlive, Node: from}); err != nil {
-			return err
+			return true, err
 		}
 		if err := m.commitLocked(m.st.absolveRecords(from)...); err != nil {
-			return err
+			return true, err
 		}
 		m.rescheduleStalledLocked()
-		return nil
+		return true, nil
 	})
 }
 

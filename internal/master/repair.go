@@ -436,20 +436,12 @@ func (m *Master) pullFromSource(src []proto.Extent, plan repairPlan, copied []ui
 	return nil
 }
 
-// repairPull issues one MtRepairPull to the destination server over a
-// cached control connection.
+// repairPull issues one MtRepairPull to the destination server.
 func (m *Master) repairPull(node simnet.NodeID, req proto.RepairPullRequest) (proto.RepairPullResponse, error) {
-	conn, err := m.ctrlConn(node)
-	if err != nil {
-		return proto.RepairPullResponse{}, err
-	}
 	var e rpc.Encoder
 	req.Encode(&e)
-	ctx, cancel := context.WithTimeout(m.ctx, 30*time.Second)
-	defer cancel()
-	payload, _, err := conn.Call(ctx, proto.MtRepairPull, e.Bytes())
+	payload, err := m.ctrlCall(node, 30*time.Second, proto.MtRepairPull, e.Bytes())
 	if err != nil {
-		m.dropCtrlConn(node, conn)
 		return proto.RepairPullResponse{}, err
 	}
 	d := rpc.NewDecoder(payload)
@@ -460,55 +452,23 @@ func (m *Master) repairPull(node simnet.NodeID, req proto.RepairPullRequest) (pr
 	return resp, nil
 }
 
-// ctrlConn returns (dialing if needed) the control connection to a memory
-// server's repair endpoint.
-func (m *Master) ctrlConn(node simnet.NodeID) (*rpc.Conn, error) {
-	m.ctrlMu.Lock()
-	if c, ok := m.ctrlConns[node]; ok && c.Err() == nil {
-		m.ctrlMu.Unlock()
-		return c, nil
-	}
-	stale := m.ctrlConns[node]
-	delete(m.ctrlConns, node)
-	m.ctrlMu.Unlock()
-	if stale != nil {
-		stale.Close()
-	}
-	ctx, cancel := context.WithTimeout(m.ctx, 5*time.Second)
+// ctrlCall runs one RPC, bounded by timeout, on the cached connection to a
+// memory server's control endpoint (dialling it if needed); a connection
+// whose call failed is retired.
+func (m *Master) ctrlCall(node simnet.NodeID, timeout time.Duration, mt uint16, req []byte) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(m.ctx, timeout)
 	defer cancel()
-	c, err := rpc.Dial(ctx, m.dev, node, proto.MemCtrlService, nil, m.cfg.RPC)
+	conn, err := m.ctrl.Get(ctx, node, func(ctx context.Context, node simnet.NodeID) (*rpc.Conn, error) {
+		return rpc.Dial(ctx, m.dev, node, proto.MemCtrlService, nil, m.cfg.RPC)
+	})
 	if err != nil {
 		return nil, err
 	}
-	m.ctrlMu.Lock()
-	defer m.ctrlMu.Unlock()
-	if cur, ok := m.ctrlConns[node]; ok && cur.Err() == nil {
-		go c.Close()
-		return cur, nil
+	resp, _, err := conn.Call(ctx, mt, req)
+	if err != nil {
+		m.ctrl.Drop(node, conn)
 	}
-	m.ctrlConns[node] = c
-	return c, nil
-}
-
-// dropCtrlConn forgets a failed control connection.
-func (m *Master) dropCtrlConn(node simnet.NodeID, conn *rpc.Conn) {
-	m.ctrlMu.Lock()
-	if m.ctrlConns[node] == conn {
-		delete(m.ctrlConns, node)
-	}
-	m.ctrlMu.Unlock()
-	conn.Close()
-}
-
-// closeCtrlConns tears down the repair plane's connections at shutdown.
-func (m *Master) closeCtrlConns() {
-	m.ctrlMu.Lock()
-	conns := m.ctrlConns
-	m.ctrlConns = make(map[simnet.NodeID]*rpc.Conn)
-	m.ctrlMu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
+	return resp, err
 }
 
 // dropPlanLocked ends a plan's hold on the master: the under-repair mark

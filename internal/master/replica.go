@@ -44,7 +44,8 @@ type repl struct {
 	cond *sync.Cond
 	// term counts primaryship transitions on this node (promotions and
 	// step-downs both bump it); streamers and waiters from an old term
-	// observe the mismatch and exit.
+	// observe the mismatch and exit. Written under m.mu and mu both, so
+	// either lock suffices to read it.
 	term uint64
 	// baseSeq is the log seq of records[0]; nextSeq is the seq the next
 	// record will take. The prefix every attached follower has acked is
@@ -100,27 +101,25 @@ func (r *repl) truncateLocked() {
 	}
 }
 
-// waitCommitted blocks until every follower attached at call time (or
-// attaching later) has acked through target, or until the group has no
-// attached followers, or the term ends. target 0 is a no-op. With zero
-// standbys attached the group degrades to immediate commit — availability
-// over durability, documented in DESIGN.md.
-func (r *repl) waitCommitted(target uint64) {
-	if target == 0 {
-		return
-	}
+// waitCommitted blocks until every attached follower (attaching later
+// included) has acked the log as it stands at call time, or until the group
+// has no attached followers. With zero standbys attached the group degrades
+// to immediate commit — availability over durability, documented in
+// DESIGN.md. It reports false when term, the term the caller read under
+// m.mu, ended first: what becomes of the log tail is the successor's call.
+func (r *repl) waitCommitted(term uint64) bool {
 	r.mu.Lock()
-	term := r.term
+	defer r.mu.Unlock()
+	target := r.nextSeq
 	for r.term == term && len(r.followers) > 0 && r.minAckLocked() < target {
 		r.cond.Wait()
 	}
-	r.mu.Unlock()
+	return r.term == term
 }
 
-// appendLocked appends applied records to the replicated log and notes the
-// resulting log position in m.appended, which asPrimary hands to
-// waitCommitted once m.mu is released. A group of one keeps no log. Caller
-// holds m.mu and is the primary (commitLocked is the only caller).
+// appendLocked appends applied records to the replicated log. A group of
+// one keeps no log. Caller holds m.mu and is the primary (commitLocked is
+// the only caller).
 func (m *Master) appendLocked(recs []proto.ReplRecord) {
 	if len(m.peers) == 0 || len(recs) == 0 {
 		return
@@ -135,7 +134,6 @@ func (m *Master) appendLocked(recs []proto.ReplRecord) {
 		r.baseSeq = r.nextSeq + uint64(len(recs))
 	}
 	r.nextSeq += uint64(len(recs))
-	m.appended = r.nextSeq
 	r.cond.Broadcast()
 	r.mu.Unlock()
 	m.ctr.replRecords.Add(int64(len(recs)))
@@ -651,17 +649,8 @@ func (m *Master) waitOutLease(leaseStartV simnet.VTime, epoch uint64) bool {
 // pingServer issues one MtPing round trip on the memory server's control
 // endpoint (the same cached connections the repair plane uses).
 func (m *Master) pingServer(node simnet.NodeID) error {
-	conn, err := m.ctrlConn(node)
-	if err != nil {
-		return err
-	}
-	ctx, cancel := context.WithTimeout(m.ctx, m.cfg.HeartbeatInterval)
-	defer cancel()
-	if _, _, err := conn.Call(ctx, proto.MtPing, nil); err != nil {
-		m.dropCtrlConn(node, conn)
-		return err
-	}
-	return nil
+	_, err := m.ctrlCall(node, m.cfg.HeartbeatInterval, proto.MtPing, nil)
+	return err
 }
 
 // promote assumes the primaryship at a bumped epoch. The replicated

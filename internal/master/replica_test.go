@@ -3,6 +3,7 @@ package master
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -24,6 +25,13 @@ type replHarness struct {
 
 func newReplHarness(t *testing.T, nodes, replicas int) *replHarness {
 	t.Helper()
+	return newReplHarnessEvery(t, nodes, replicas, 20*time.Millisecond)
+}
+
+// newReplHarnessEvery is newReplHarness with the heartbeat interval — and
+// with it the election and stream-detach timeouts — chosen by the test.
+func newReplHarnessEvery(t *testing.T, nodes, replicas int, interval time.Duration) *replHarness {
+	t.Helper()
 	f := simnet.NewFabric(nodes, simnet.DefaultParams())
 	n := rdma.NewNetwork(f)
 	peers := make([]simnet.NodeID, replicas)
@@ -37,7 +45,7 @@ func newReplHarness(t *testing.T, nodes, replicas int) *replHarness {
 			t.Fatalf("OpenDevice(%d): %v", i, err)
 		}
 		m, err := Start(dev, Config{
-			HeartbeatInterval: 20 * time.Millisecond,
+			HeartbeatInterval: interval,
 			Peers:             peers,
 			LeaseTerm:         -1,
 		})
@@ -284,6 +292,7 @@ func TestAllocTokenIdempotent(t *testing.T) {
 // immediately after a burst of allocations must lose none of them.
 func TestReplicatedAllocVisibleOnStandbyAfterPromotion(t *testing.T) {
 	h := newReplHarness(t, 4, 2)
+	h.waitAttached()
 	b := h.ms[1]
 
 	cli := h.dial(3, 0)
@@ -312,9 +321,10 @@ func TestReplicatedAllocVisibleOnStandbyAfterPromotion(t *testing.T) {
 		ids[name] = info.ID
 	}
 
-	// The alloc response is the commit acknowledgment: by the time the last
-	// one returned, every record is acked by the standby. Kill the primary
-	// with no settling delay.
+	// The alloc response is the commit acknowledgment: the standby was
+	// attached before the first one went out (with no follower attached the
+	// group commits at once, by design), so by the time the last one returned
+	// every record is acked by it. Kill the primary with no settling delay.
 	if err := h.f.SetNodeUp(0, false); err != nil {
 		t.Fatalf("kill node 0: %v", err)
 	}
@@ -406,5 +416,140 @@ func TestFailedReplicatedAllocKeepsRegionIDsInSync(t *testing.T) {
 	stayed, failedOver := nextID(false), nextID(true)
 	if stayed != failedOver {
 		t.Errorf("region ID after a failed replicated alloc: %v on the primary that saw it, %v on the promoted standby", stayed, failedOver)
+	}
+}
+
+// parkInjector holds every transfer from one node to another until the gate
+// opens; everything else passes.
+type parkInjector struct {
+	from, to simnet.NodeID
+	gate     chan struct{}
+}
+
+func (p *parkInjector) Transfer(from, to simnet.NodeID, _ int, _ simnet.VTime) (time.Duration, error) {
+	if from == p.from && to == p.to {
+		<-p.gate
+	}
+	return 0, nil
+}
+
+func (p *parkInjector) Advance(simnet.VTime) {}
+
+// TestPrimaryReadWaitsForTheLogTail pins the read rule: a response may only
+// carry state every attached standby has. The sweep commits a death verdict
+// while primary→standby transfers are parked — no handler appended it, so
+// no handler's own records cover it — and a cluster-info read arriving then
+// must not answer until the standby has acked the verdict (or, second run,
+// has been detached); if the primary steps down first (third run) the read
+// is redirected instead. A plain liveness beat, which reveals nothing,
+// answers at once behind the same parked stream.
+func TestPrimaryReadWaitsForTheLogTail(t *testing.T) {
+	for _, release := range []string{"ack", "detach", "step-down"} {
+		t.Run(release, func(t *testing.T) {
+			// 100 ms beats: the standby stays put through 300 ms of silence
+			// and the streamer gives up on a parked append after 500 ms.
+			h := newReplHarnessEvery(t, 5, 2, 100*time.Millisecond)
+			h.waitAttached()
+			a, b := h.ms[0], h.ms[1]
+			ctx := context.Background()
+			var e rpc.Encoder
+			e.U64(1 << 20)
+			e.U32(7)
+			doomed, beating := h.dial(2, 0), h.dial(3, 0)
+			if _, _, err := doomed.Call(ctx, proto.MtRegisterServer, e.Bytes()); err != nil {
+				t.Fatalf("register server 2: %v", err)
+			}
+			time.Sleep(time.Millisecond)
+			cut := time.Now() // server 2 last beat before it, server 3 after
+			if _, _, err := beating.Call(ctx, proto.MtRegisterServer, e.Bytes()); err != nil {
+				t.Fatalf("register server 3: %v", err)
+			}
+
+			park := &parkInjector{from: 0, to: 1, gate: make(chan struct{})}
+			var once sync.Once
+			unpark := func() { once.Do(func() { close(park.gate) }) }
+			t.Cleanup(unpark)
+			h.f.SetInjector(park)
+			parked := time.Now()
+
+			// The sweep, by hand so that the test owns its timing.
+			a.mu.Lock()
+			err := a.sweepLocked(cut)
+			a.mu.Unlock()
+			if err != nil {
+				t.Fatalf("sweep: %v", err)
+			}
+			if a.ServerAlive(2) || !a.ServerAlive(3) || !b.ServerAlive(2) {
+				t.Fatalf("after the parked sweep: server 2 alive=%v, server 3 alive=%v on the primary, server 2 alive=%v on the standby; want false, true, true",
+					a.ServerAlive(2), a.ServerAlive(3), b.ServerAlive(2))
+			}
+
+			if _, _, err := beating.Call(ctx, proto.MtHeartbeat, nil); err != nil {
+				t.Fatalf("liveness beat behind a parked stream: %v", err)
+			}
+
+			type reply struct {
+				infos []proto.ServerInfo
+				err   error
+			}
+			answered := make(chan reply, 1)
+			go func() {
+				resp, _, err := h.dial(4, 0).Call(ctx, proto.MtClusterInfo, nil)
+				var r reply
+				if r.err = err; err == nil {
+					d := rpc.NewDecoder(resp)
+					for n := d.U32(); n > 0 && d.Err() == nil; n-- {
+						r.infos = append(r.infos, proto.DecodeServerInfo(d))
+					}
+					r.err = d.Err()
+				}
+				answered <- r
+			}()
+			select {
+			case r := <-answered:
+				t.Fatalf("read answered %+v (err %v) while the standby still believes server 2 alive", r.infos, r.err)
+			case <-time.After(50 * time.Millisecond):
+			}
+
+			switch release {
+			case "ack":
+				unpark()
+			case "detach":
+				if err := h.f.SetNodeUp(1, false); err != nil {
+					t.Fatalf("kill standby: %v", err)
+				}
+			case "step-down":
+				a.mu.Lock()
+				a.stepDownLocked(1, 1)
+				a.mu.Unlock()
+			}
+			r := <-answered
+			if release == "step-down" {
+				var re *rpc.RemoteError
+				if !errors.As(r.err, &re) {
+					t.Fatalf("read across a step-down = %+v, %v; want a redirect", r.infos, r.err)
+				}
+				if hint, _, ok := proto.IsNotPrimaryMsg(re.Msg); !ok || hint != 1 {
+					t.Fatalf("read across a step-down: %q, want not-primary with hint 1", re.Msg)
+				}
+				return
+			}
+			if r.err != nil {
+				t.Fatalf("cluster info: %v", r.err)
+			}
+			for _, si := range r.infos {
+				if si.Node == 2 && si.Alive {
+					t.Errorf("read does not show the sweep's verdict: %+v", r.infos)
+				}
+			}
+			if release == "ack" && b.ServerAlive(2) {
+				t.Error("read answered before the standby applied the verdict")
+			}
+			// Detached means the streamer's parked append ran into its
+			// deadline, five intervals after it was sent — not earlier.
+			if waited := time.Since(parked); release == "detach" && (waited < 400*time.Millisecond || !b.ServerAlive(2)) {
+				t.Errorf("read answered after %v, standby applied the verdict: %v; want the streamer's timeout and false", waited, !b.ServerAlive(2))
+			}
+		})
 	}
 }

@@ -47,20 +47,13 @@ func (m *Master) handleTraceFetch(ctx context.Context, _ simnet.NodeID, req *rpc
 	return &e, nil
 }
 
-// tracePull fetches one node's spans for a trace over the cached control
-// connection, following the repairPull pattern.
+// tracePull fetches one node's spans for a trace from its control
+// endpoint.
 func (m *Master) tracePull(node simnet.NodeID, id telemetry.TraceID) (proto.TraceFetchResponse, error) {
-	conn, err := m.ctrlConn(node)
-	if err != nil {
-		return proto.TraceFetchResponse{}, err
-	}
 	var e rpc.Encoder
 	(&proto.TraceFetchRequest{Trace: id}).Encode(&e)
-	ctx, cancel := context.WithTimeout(m.ctx, 5*time.Second)
-	defer cancel()
-	payload, _, err := conn.Call(ctx, proto.MtTracePull, e.Bytes())
+	payload, err := m.ctrlCall(node, 5*time.Second, proto.MtTracePull, e.Bytes())
 	if err != nil {
-		m.dropCtrlConn(node, conn)
 		return proto.TraceFetchResponse{}, err
 	}
 	return proto.DecodeTraceFetchResponse(rpc.NewDecoder(payload))

@@ -42,19 +42,13 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
+	if len(c.Masters) == 0 {
+		c.Masters = []simnet.NodeID{c.Master}
+	}
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 100 * time.Millisecond
 	}
 	return c
-}
-
-// masters returns the configured master group (the single Master when no
-// group was given).
-func (c Config) masters() []simnet.NodeID {
-	if len(c.Masters) > 0 {
-		return c.Masters
-	}
-	return []simnet.NodeID{c.Master}
 }
 
 // Server is a running memory server.
@@ -73,11 +67,15 @@ type Server struct {
 	dataLis   *rdma.Listener
 	notifyLis *rdma.Listener
 	ctrlSrv   *rpc.Server
-	masterCon *rpc.Conn
+	// masters finds the primary for every beat and registration.
+	masters *proto.MasterGroup
+	// registered is set once Start's own registration is through: every
+	// master dial after it replaces a connection (memserver.reconnects).
+	registered bool
 
-	// needAnnounce (owned by the heartbeat goroutine) is armed when the
-	// whole master group went unreachable: the fault may have been this
-	// machine's own link, and a severed machine must assume the master
+	// needAnnounce (owned by the heartbeat goroutine) is armed when a pass
+	// found the whole master group unreachable: the fault may have been
+	// this machine's own link, and a severed machine must assume the master
 	// wrote it off — the next contact re-registers as a new incarnation
 	// instead of presenting itself as a survivor.
 	needAnnounce bool
@@ -120,14 +118,6 @@ func Start(ctx context.Context, dev *rdma.Device, cfg Config) (*Server, error) {
 		notifyLis.Close()
 		return nil, fmt.Errorf("memserver: %w", err)
 	}
-	conn, err := dialAndRegister(ctx, dev, pd, cfg, arena.RKey())
-	if err != nil {
-		dataLis.Close()
-		notifyLis.Close()
-		ctrlSrv.Close()
-		return nil, fmt.Errorf("memserver: register with master: %w", err)
-	}
-
 	tel := dev.Telemetry()
 	tel.Gauge("memserver.arena_capacity").Set(int64(cfg.Capacity))
 	s := &Server{
@@ -143,10 +133,15 @@ func Start(ctx context.Context, dev *rdma.Device, cfg Config) (*Server, error) {
 		dataLis:      dataLis,
 		notifyLis:    notifyLis,
 		ctrlSrv:      ctrlSrv,
-		masterCon:    conn,
 		watchers:     make(map[proto.RegionID][]*notifySession),
 		stop:         make(chan struct{}),
 	}
+	s.masters = proto.NewMasterGroup(cfg.Masters, s.dialMaster)
+	if _, err := s.masters.Do(ctx, s.register); err != nil {
+		s.teardown()
+		return nil, fmt.Errorf("memserver: register with master: %w", err)
+	}
+	s.registered = true
 	ctrlSrv.Handle(proto.MtRepairPull, s.handleRepairPull)
 	ctrlSrv.Handle(proto.MtTracePull, s.handleTracePull)
 	ctrlSrv.Handle(proto.MtPing, s.handlePing)
@@ -195,7 +190,6 @@ func (s *Server) teardown() {
 		sessions = append(sessions, ws...)
 	}
 	s.watchers = make(map[proto.RegionID][]*notifySession)
-	conn := s.masterCon
 	s.mu.Unlock()
 	for _, qp := range qps {
 		qp.Close()
@@ -203,7 +197,7 @@ func (s *Server) teardown() {
 	for _, ns := range sessions {
 		ns.qp.Close()
 	}
-	conn.Close()
+	s.masters.Close()
 	s.dataLis.Close()
 	s.notifyLis.Close()
 	s.ctrlSrv.Close()
@@ -234,21 +228,65 @@ func (s *Server) heartbeat(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-ticker.C:
-			s.mu.Lock()
-			conn := s.masterCon
-			s.mu.Unlock()
 			s.beats.Inc()
-			beatCtx, cancel := context.WithTimeout(ctx, 4*s.cfg.HeartbeatInterval)
-			_, _, err := conn.Call(beatCtx, proto.MtHeartbeat, s.beatPayload())
-			cancel()
-			if err != nil {
-				// A failed beat (partition, our link flapping) kills the
-				// control QP permanently; re-dial and re-announce so the
-				// master revives us once connectivity returns.
-				s.reconnect(ctx)
-			}
+			s.beat(ctx)
 		}
 	}
+}
+
+// beat is one heartbeat tick: one pass over the master group
+// (proto.MasterGroup.Do), bounded by a deadline so a half-partitioned
+// master cannot stall the loop past a few beat intervals; the next tick
+// retries whatever it leaves undone. As long as some replica stays
+// reachable the arena is demonstrably intact, and the server presents
+// itself with a plain heartbeat — at a freshly promoted primary that lifts
+// any provisional death verdict of the failover sweep, with no epoch bump
+// and no repair. It registers in full when the primary does not know it, or
+// when needAnnounce marks this incarnation as suspect; only a pass that
+// found every replica unreachable arms that flag — one that merely ran out
+// of its deadline proves nothing and leaves it as it was.
+func (s *Server) beat(ctx context.Context) {
+	ctx, cancel := context.WithTimeout(ctx, 4*s.cfg.HeartbeatInterval)
+	defer cancel()
+	call := s.sendBeat
+	if s.needAnnounce {
+		call = s.register
+	}
+	out, err := s.masters.Do(ctx, call)
+	if out == proto.Served && err != nil && !s.needAnnounce {
+		// The primary answered but refused the beat — it does not know this
+		// server. Announce in full, on what is now the current connection.
+		out, err = s.masters.Do(ctx, s.register)
+	}
+	switch {
+	case out == proto.Served && err == nil:
+		s.needAnnounce = false
+	case out == proto.Unreachable:
+		s.needAnnounce = true
+	}
+}
+
+// dialMaster is the master locator's dial hook.
+func (s *Server) dialMaster(ctx context.Context, node simnet.NodeID) (*rpc.Conn, error) {
+	if s.registered {
+		s.reconnects.Inc()
+	}
+	return rpc.Dial(ctx, s.dev, node, proto.MasterService, s.pd, s.cfg.RPC)
+}
+
+// sendBeat is the plain heartbeat: liveness plus the telemetry snapshot.
+func (s *Server) sendBeat(ctx context.Context, conn *rpc.Conn) error {
+	_, _, err := conn.Call(ctx, proto.MtHeartbeat, s.beatPayload())
+	return err
+}
+
+// register announces the arena (capacity + rkey) as a new incarnation.
+func (s *Server) register(ctx context.Context, conn *rpc.Conn) error {
+	var e rpc.Encoder
+	e.U64(s.cfg.Capacity)
+	e.U32(s.arena.RKey())
+	_, _, err := conn.Call(ctx, proto.MtRegisterServer, e.Bytes())
+	return err
 }
 
 // beatPayload marshals the node's telemetry snapshot — lifetime totals
@@ -265,148 +303,6 @@ func (s *Server) beatPayload() []byte {
 	var e rpc.Encoder
 	e.Bytes32(blob)
 	return e.Bytes()
-}
-
-// reconnect re-establishes the master control connection, re-homing to
-// whichever replica currently answers as primary. Failures are ignored;
-// the next heartbeat tick retries. Every step is bounded by a deadline so
-// a half-partitioned master cannot stall the heartbeat loop past a few
-// beat intervals.
-func (s *Server) reconnect(ctx context.Context) {
-	ctx, cancel := context.WithTimeout(ctx, 4*s.cfg.HeartbeatInterval)
-	defer cancel()
-	s.reconnects.Inc()
-	conn, reached, err := s.rehome(ctx)
-	if err != nil {
-		if !reached {
-			s.needAnnounce = true
-		}
-		return
-	}
-	s.needAnnounce = false
-	s.mu.Lock()
-	old := s.masterCon
-	s.masterCon = conn
-	s.mu.Unlock()
-	old.Close()
-}
-
-// rehome locates the master group's current primary and re-establishes
-// the control connection. As long as some replica stayed reachable, the
-// fault was on the master's side, the arena is demonstrably intact, and
-// the server presents itself with a plain heartbeat: the same incarnation
-// re-homing — at a freshly promoted primary this lifts any provisional
-// death verdict the failover sweep applied, with no epoch bump and no
-// repair. It falls back to a full registration when the primary does not
-// know the server (a standby promoted before the registration replicated)
-// or when needAnnounce marks this incarnation as suspect. The second
-// return reports whether any replica answered at all.
-func (s *Server) rehome(ctx context.Context) (*rpc.Conn, bool, error) {
-	var lastErr error
-	reached := false
-	tried := make(map[simnet.NodeID]bool)
-	candidates := append([]simnet.NodeID(nil), s.cfg.masters()...)
-	for i := 0; i < len(candidates); i++ {
-		node := candidates[i]
-		if tried[node] {
-			continue
-		}
-		tried[node] = true
-		conn, err := rpc.Dial(ctx, s.dev, node, proto.MasterService, s.pd, s.cfg.RPC)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		reached = true
-		register := s.needAnnounce
-		if !register {
-			_, _, err = conn.Call(ctx, proto.MtHeartbeat, s.beatPayload())
-			if err == nil {
-				return conn, true, nil
-			}
-			lastErr = err
-			var re *rpc.RemoteError
-			if !errors.As(err, &re) {
-				conn.Close()
-				continue
-			}
-			if p, _, ok := proto.IsNotPrimaryMsg(re.Msg); ok {
-				conn.Close()
-				if p >= 0 {
-					candidates = append(candidates, p)
-				}
-				continue
-			}
-			// The primary answered but refused the beat — it does not know
-			// this server. Announce in full on the same connection.
-			register = true
-		}
-		if register {
-			var e rpc.Encoder
-			e.U64(s.cfg.Capacity)
-			e.U32(s.arena.RKey())
-			if _, _, err := conn.Call(ctx, proto.MtRegisterServer, e.Bytes()); err != nil {
-				conn.Close()
-				lastErr = err
-				var re *rpc.RemoteError
-				if errors.As(err, &re) {
-					if p, _, ok := proto.IsNotPrimaryMsg(re.Msg); ok && p >= 0 {
-						candidates = append(candidates, p)
-					}
-				}
-				continue
-			}
-			return conn, true, nil
-		}
-	}
-	if lastErr == nil {
-		lastErr = errors.New("memserver: no masters configured")
-	}
-	return nil, reached, lastErr
-}
-
-// dialAndRegister locates the master group's current primary, announces
-// the arena (capacity + rkey), and returns the control connection. It
-// tries each configured replica in order, chasing not-primary redirect
-// hints it has not already tried.
-func dialAndRegister(ctx context.Context, dev *rdma.Device, pd *rdma.PD, cfg Config, rkey uint32) (*rpc.Conn, error) {
-	var lastErr error
-	tried := make(map[simnet.NodeID]bool)
-	candidates := append([]simnet.NodeID(nil), cfg.masters()...)
-	for i := 0; i < len(candidates); i++ {
-		node := candidates[i]
-		if tried[node] {
-			continue
-		}
-		tried[node] = true
-		conn, err := rpc.Dial(ctx, dev, node, proto.MasterService, pd, cfg.RPC)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		var e rpc.Encoder
-		e.U64(cfg.Capacity)
-		e.U32(rkey)
-		_, _, err = conn.Call(ctx, proto.MtRegisterServer, e.Bytes())
-		if err == nil {
-			return conn, nil
-		}
-		conn.Close()
-		lastErr = err
-		var re *rpc.RemoteError
-		if errors.As(err, &re) {
-			if p, _, ok := proto.IsNotPrimaryMsg(re.Msg); ok && p >= 0 {
-				// Chase the redirect even if it points outside the
-				// configured list (it never should, but the hint is
-				// authoritative).
-				candidates = append(candidates, p)
-			}
-		}
-	}
-	if lastErr == nil {
-		lastErr = errors.New("memserver: no masters configured")
-	}
-	return nil, lastErr
 }
 
 // handlePing answers the master candidacy probe: a no-op round trip whose

@@ -383,19 +383,14 @@ func (a *AllocRequest) Encode(e *rpc.Encoder) {
 
 // DecodeAllocRequest unmarshals an AllocRequest.
 func DecodeAllocRequest(d *rpc.Decoder) AllocRequest {
-	a := AllocRequest{
+	return AllocRequest{
 		Name:        d.String(),
 		Size:        d.U64(),
 		StripeUnit:  d.U64(),
 		StripeWidth: int(d.U32()),
 		Replicas:    int(d.U32()),
+		Token:       d.U64(),
 	}
-	// The token rides at the end so requests from older encoders still
-	// decode (as token zero).
-	if d.Err() == nil && d.Remaining() > 0 {
-		a.Token = d.U64()
-	}
-	return a
 }
 
 // ServerInfo describes one memory server in cluster status responses.

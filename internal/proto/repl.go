@@ -1,18 +1,15 @@
 package proto
 
 import (
-	"fmt"
-	"strings"
-
 	"rstore/internal/rpc"
 	"rstore/internal/simnet"
 )
 
 // This file defines the wire format of the master replication group: the
 // metadata log streamed from the primary to its standbys (MtReplAppend),
-// the snapshot that opens a stream (MtReplHello), the replica status probe
-// (MtMasterStatus), and the fencing error a non-primary returns to
-// client-facing RPCs.
+// the snapshot that opens a stream (MtReplHello) and the replica status
+// probe (MtMasterStatus). The fencing error a non-primary returns to
+// client-facing RPCs is in mastergroup.go, next to the code that follows it.
 
 // ReplKind tags one metadata log record.
 type ReplKind uint8
@@ -359,30 +356,4 @@ func DecodeMasterStatus(d *rpc.Decoder) MasterStatus {
 		Epoch:   d.U64(),
 		Primary: simnet.NodeID(d.I64()),
 	}
-}
-
-// notPrimaryPrefix is the marker clients grep for in remote errors to tell
-// "wrong master replica" from genuine request failures.
-const notPrimaryPrefix = "master: not primary"
-
-// NotPrimaryError builds the fencing error a non-primary master replica
-// returns to client-facing RPCs. The believed primary and epoch ride along
-// as a redirect hint (primary -1 = unknown).
-func NotPrimaryError(primary simnet.NodeID, epoch uint64) error {
-	return fmt.Errorf("%s (primary=%d epoch=%d)", notPrimaryPrefix, int64(primary), epoch)
-}
-
-// IsNotPrimaryMsg reports whether a remote error message is the fencing
-// error, and if so extracts the redirect hint. ok is true whenever the
-// marker is present, even if the hint fails to parse (primary then -1).
-func IsNotPrimaryMsg(msg string) (primary simnet.NodeID, epoch uint64, ok bool) {
-	i := strings.Index(msg, notPrimaryPrefix)
-	if i < 0 {
-		return -1, 0, false
-	}
-	var p, ep int64
-	if _, err := fmt.Sscanf(msg[i:], notPrimaryPrefix+" (primary=%d epoch=%d)", &p, &ep); err != nil {
-		return -1, 0, true
-	}
-	return simnet.NodeID(p), uint64(ep), true
 }

@@ -60,9 +60,6 @@ func (d *Device) Listen(service string, pd *PD, opts ConnOpts) (*Listener, error
 // PD returns the protection domain shared by accepted QPs.
 func (l *Listener) PD() *PD { return l.pd }
 
-// Service returns the service name.
-func (l *Listener) Service() string { return l.service }
-
 // Accept blocks for the next inbound connection.
 func (l *Listener) Accept(ctx context.Context) (*QP, error) {
 	select {

@@ -34,9 +34,6 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 // Len returns the encoded size so far.
 func (e *Encoder) Len() int { return len(e.buf) }
 
-// Reset clears the encoder for reuse, keeping capacity.
-func (e *Encoder) Reset() { e.buf = e.buf[:0] }
-
 // U8 appends one byte.
 func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
 

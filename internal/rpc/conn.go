@@ -280,6 +280,13 @@ func Dial(ctx context.Context, dev *rdma.Device, node simnet.NodeID, service str
 	return c, nil
 }
 
+// NewConnCache returns a cache of client connections, one per key, that
+// hands a connection out until it has failed (Err) and closes the ones it
+// retires.
+func NewConnCache[K comparable]() *rdma.Cache[K, *Conn] {
+	return rdma.NewCache(func(_ K, c *Conn) bool { return c.Err() == nil }, (*Conn).Close)
+}
+
 // QP exposes the underlying queue pair (for PD sharing and stats).
 func (c *Conn) QP() *rdma.QP { return c.ep.qp }
 

@@ -272,13 +272,6 @@ func (f *Fabric) SetPartition(a, b NodeID, partitioned bool) {
 	}
 }
 
-// Partitioned reports whether traffic between a and b is blocked.
-func (f *Fabric) Partitioned(a, b NodeID) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.partitions[pairKey(a, b)]
-}
-
 // Reachable reports whether from can currently exchange traffic with to.
 func (f *Fabric) Reachable(from, to NodeID) error {
 	_, _, err := f.endpoints(from, to)

@@ -162,9 +162,6 @@ func (r *Registry) Node() simnet.NodeID { return r.node }
 // return the values accumulated while enabled.
 func (r *Registry) SetEnabled(on bool) { r.off.Store(!on) }
 
-// Enabled reports whether mutations are being recorded.
-func (r *Registry) Enabled() bool { return !r.off.Load() }
-
 // Tracer returns the registry's span tracer.
 func (r *Registry) Tracer() *Tracer { return r.tracer }
 

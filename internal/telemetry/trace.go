@@ -119,9 +119,6 @@ func (t *Tracer) SetSampling(n int) {
 	t.sampling.Store(int64(n))
 }
 
-// Sampling returns the current rate (0 = off).
-func (t *Tracer) Sampling() int { return int(t.sampling.Load()) }
-
 // NewTrace decides whether the operation starting now should be traced.
 // It returns a fresh ID and true when sampled, zero and false otherwise.
 func (t *Tracer) NewTrace() (TraceID, bool) {
